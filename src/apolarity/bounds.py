@@ -42,10 +42,6 @@ GENERIC_COEFF_BOUND = 997
 GENERIC_DRAWS = 5
 
 
-def _field_str(v: FieldElement) -> str:
-    return str(v)
-
-
 @dataclass(frozen=True)
 class LowerBoundWitness:
     """Certified inequality rank(F) >= bound, from one (I, t) choice."""
@@ -79,8 +75,8 @@ class UpperBoundWitness:
 
     def as_dict(self) -> dict:
         out = {
-            "points": [[_field_str(v) for v in p] for p in self.points],
-            "coefficients": [_field_str(c) for c in self.coefficients],
+            "points": [[str(v) for v in p] for p in self.points],
+            "coefficients": [str(c) for c in self.coefficients],
             "count": self.count,
         }
         if not self.field.is_rationals():

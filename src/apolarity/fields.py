@@ -13,6 +13,7 @@ tuples with no trailing zeros; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidExtension, NotInvertible, ZeroForm, ZeroInversion
@@ -189,8 +190,10 @@ def uni_to_string(p: UniPoly, symbol: str = "z") -> str:
     return "".join(parts)
 
 
+@lru_cache(maxsize=128)
 def cyclotomic(m: int) -> UniPoly:
-    """The m-th cyclotomic polynomial."""
+    """The m-th cyclotomic polynomial (memoized: the recursion over the
+    divisors of m would otherwise recompute each of them)."""
     if m < 1:
         raise ValueError("cyclotomic index must be positive")
     # z^m - 1 divided by the product of the proper cyclotomic divisors
@@ -460,9 +463,6 @@ class FieldElement:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        if self.field.degree == 1 and not self.field.is_rationals():
-            # degree-1 quotient identifies z with the root of the modulus
-            return self.coords[0]
         return self.coords[0]
 
     def __str__(self):

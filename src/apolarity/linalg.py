@@ -8,6 +8,18 @@ row echelon basis with pivot 1, so equal subspaces compare equal rowwise.
 
 Pivoting always selects the first usable column, and kernels are emitted
 directly in canonical form by eliminating with the column order reversed.
+
+solve is the one place that may take a modular route. When the field's
+modulus is a cyclotomic polynomial Phi_m with m >= 3 (detected once per
+modulus), the system is first solved modulo primes p = 1 (mod m), as
+phi(m) scalar eliminations per prime (see modular.py). That route answers
+only when every scalar image has full column rank: the solution is then
+unique, hence the same one Gauss-Jordan would return, and it is returned
+only after an exact check M x = b. An image inconsistent at full column
+rank proves there is no solution. Rank deficiency, or no verified
+solution within a fixed number of primes, falls back to Gauss-Jordan, as
+does every other modulus; rref, kernel and the subspace operations always
+eliminate exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch
 from .fields import QQ, FieldElement, NumberField
+from .modular import UNDECIDED, cyclotomic_index, solve_cyclotomic
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -394,12 +407,25 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
 
 def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | None:
-    """One exact solution of M x = rhs (free variables zero), or None."""
+    """One exact solution of M x = rhs (free variables zero), or None.
+
+    Over Q(zeta_m), m >= 3, a system with at least as many rows as columns
+    is tried modulo primes first. Its answer is exact: a solution comes
+    back only when it is unique and passed an exact check of M x = rhs,
+    and None only when a full-rank modular image proves the system
+    inconsistent. In every other case, and over any other field, the
+    augmented matrix is reduced by exact elimination.
+    """
     field = matrix.field
     if len(rhs) != matrix.nrows:
         raise AmbientMismatch("right-hand side length does not match the rows")
     aug = [row + [_unwrap(field, v)] for row, v in zip(matrix.raw_rows(), rhs)]
     n = matrix.ncols
+    m = cyclotomic_index(field.minpoly)
+    if m is not None and 0 < n <= len(aug):
+        found = solve_cyclotomic(aug, n, m)
+        if found is not UNDECIDED:
+            return None if found is None else [_wrap(field, v) for v in found]
     rows, pivots = _batch_rref(aug, field) if aug else ([], [])
     if any(p == n for p in pivots):
         return None

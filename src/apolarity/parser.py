@@ -12,7 +12,8 @@ nonnegative integer p, q. Multiplication by juxtaposition is not part of
 the grammar: "2x" and "x y" are syntax errors. A single leading minus is
 accepted at the start of an expression or parenthesized subexpression,
 negating its first term, so printed polynomials parse back; there is no
-general unary minus.
+general unary minus. Parentheses nest at most MAX_NESTING deep; deeper
+input is a ParseError, not a stack overflow.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .poly import Poly, VarSet
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _NAME_BODY = _NAME_START | set("0123456789_")
 _DIGITS = set("0123456789")
+# each nesting level costs four stack frames (expr, term, factor, base), so
+# this stays well inside the interpreter's default recursion limit of 1000
+MAX_NESTING = 150
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -101,6 +105,7 @@ class _Parser:
         self.field = field
         self.gen_name = gen_name
         self.alias = alias
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -175,9 +180,14 @@ class _Parser:
             return Poly.variable(self.varset, self.varset.names.index(name),
                                  field=self.field)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", position)
             self.take("(")
+            self.depth += 1
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"expected a variable, number, or '(', found "
                          f"{kind}", position)

@@ -390,27 +390,40 @@ def apolar_action(g: Poly, f: Poly) -> Poly:
 
 
 def power_of_linear(linear: Poly, d: int) -> Poly:
-    """Expand L^d for a linear form via multinomials, without repeated products."""
+    """Expand L^d for a linear form via multinomials, without repeated products.
+
+    Each nonzero coordinate's powers base^0 .. base^d are tabulated once;
+    a monomial using a zero coordinate is skipped before any product.
+    """
     if linear.is_zero() or linear.degree() != 1:
         raise ValueError("power_of_linear needs a nonzero linear form")
     if d < 0:
         raise ValueError("the exponent must be nonnegative")
     n = len(linear.varset)
-    coeffs = [linear.coeff(tuple(1 if j == i else 0 for j in range(n)))
-              for i in range(n)]
+    field = linear.field
+    tables = []
+    for i in range(n):
+        base = linear.coeff(tuple(1 if j == i else 0 for j in range(n)))
+        table = None
+        if not base.is_zero():
+            table = [field.one]
+            for _ in range(d):
+                table.append(table[-1] * base)
+        tables.append(table)
     terms: dict[Exps, FieldElement] = {}
     for exps in monomial_basis(n, d):
-        c = linear.field.from_rational(_multinomial(d, exps))
-        skip = False
-        for base, e in zip(coeffs, exps):
+        if any(e and table is None for table, e in zip(tables, exps)):
+            continue
+        c = None
+        for table, e in zip(tables, exps):
             if e:
-                if base.is_zero():
-                    skip = True
-                    break
-                c = c * (base ** e)
-        if not skip and c:
+                c = table[e] if c is None else c * table[e]
+        mult = _multinomial(d, exps)
+        c = field.from_rational(mult) if c is None else \
+            FieldElement(field, tuple(x * mult if x else x for x in c.coords))
+        if c:
             terms[exps] = c
-    return Poly(linear.varset, terms, linear.field)
+    return Poly(linear.varset, terms, field)
 
 
 def split_disjoint(f: Poly) -> list[tuple[Poly, tuple[int, ...]]]:

@@ -162,6 +162,18 @@ def test_error_rendering(capsys):
     assert "error: parser.ParseError:" in err
 
 
+def test_deep_nesting_is_one_error_line(capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = go(["hf", deep], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: parser.ParseError: parentheses nested")
+    assert err.count("\n") == 1
+    code, out, _ = go(["hf", "(" * 100 + "x*y" + ")" * 100], capsys)
+    assert code == 0
+    assert out == go(["hf", "x*y"], capsys)[1]
+
+
 def test_stdin_dash(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("x0*x1*x2"))
     code, out, _ = go(["hf", "-"], capsys)

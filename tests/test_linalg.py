@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from conftest import naive_rref
 
-from apolarity.errors import AmbientMismatch
-from apolarity.fields import QQ, NumberField
+from apolarity import modular
+from apolarity.errors import AmbientMismatch, NotInvertible
+from apolarity.fields import QQ, NumberField, cyclotomic_field
 from apolarity.linalg import (
     Matrix,
     Subspace,
@@ -210,3 +211,179 @@ class TestExtensionField:
         got = solve(m, [z * z])
         assert got is not None
         assert z * got[0] + got[1] == z * z
+
+
+CONDUCTORS = (3, 4, 5, 8, 12, 15, 30)
+
+
+def exact_solution(field, rows, rhs):
+    """Free-variables-zero solution read off the exact RREF of [M | b]."""
+    n = len(rows[0])
+    aug = Matrix.from_rows([row + [b] for row, b in zip(rows, rhs)],
+                           field=field)
+    red, pivots = rref(aug)
+    if n in pivots:
+        return None
+    x = [field.zero] * n
+    for row, p in zip(red.rows, pivots):
+        x[p] = row[n]
+    return x
+
+
+def rand_element(field, rng, height=4, dens=(1,)):
+    return field.element([Fraction(rng.randint(-height, height),
+                                   rng.choice(dens))
+                          for _ in range(field.degree)])
+
+
+def mat_vec(field, rows, x):
+    return [sum((a * v for a, v in zip(row, x)), field.zero) for row in rows]
+
+
+def modular_answer(field, rows, rhs):
+    """What the modular route alone returns for the system."""
+    m = modular.cyclotomic_index(field.minpoly)
+    raw = [[e.coords for e in row] + [b.coords] for row, b in zip(rows, rhs)]
+    return modular.solve_cyclotomic(raw, len(rows[0]), m)
+
+
+class TestModularSolve:
+    """solve over Q(zeta_m) against exact elimination of [M | b]."""
+
+    def test_conductor_detection(self):
+        for m in CONDUCTORS + (6, 7, 9, 56):
+            assert modular.cyclotomic_index(cyclotomic_field(m).minpoly) == m
+        for poly in ([-2, 0, 1], [-1, 0, 1], [1, 1, 0, 1], [2, 1, 1]):
+            assert modular.cyclotomic_index(NumberField("z", poly).minpoly) \
+                is None
+
+    def test_full_column_rank_matches_exact(self):
+        rng = random.Random(31)
+        for m in CONDUCTORS:
+            field = cyclotomic_field(m)
+            for _ in range(3):
+                ncols = rng.randint(1, 4)
+                nrows = ncols + rng.randint(0, 2)
+                rows = [[rand_element(field, rng) for _ in range(ncols)]
+                        for _ in range(nrows)]
+                x0 = [rand_element(field, rng) for _ in range(ncols)]
+                rhs = mat_vec(field, rows, x0)
+                want = exact_solution(field, rows, rhs)
+                assert modular_answer(field, rows, rhs) is not modular.UNDECIDED
+                assert solve(Matrix.from_rows(rows, field=field), rhs) == want
+                assert want == x0
+
+    def test_denominators(self):
+        rng = random.Random(37)
+        for m in CONDUCTORS:
+            field = cyclotomic_field(m)
+            rows = [[rand_element(field, rng, 9, (1, 2, 3, 7, 10))
+                     for _ in range(3)] for _ in range(4)]
+            x0 = [rand_element(field, rng, 9, (1, 4, 9, 11))
+                  for _ in range(3)]
+            rhs = mat_vec(field, rows, x0)
+            assert modular_answer(field, rows, rhs) == [v.coords for v in x0]
+            assert solve(Matrix.from_rows(rows, field=field), rhs) == x0
+
+    def test_rank_deficient_falls_back(self):
+        rng = random.Random(41)
+        for m in CONDUCTORS:
+            field = cyclotomic_field(m)
+            z = field.gen()
+            rows = [[rand_element(field, rng) for _ in range(2)]
+                    for _ in range(4)]
+            # third column = first + z * second: rank 2 of 3 columns
+            rows = [row + [row[0] + z * row[1]] for row in rows]
+            x0 = [rand_element(field, rng) for _ in range(3)]
+            rhs = mat_vec(field, rows, x0)
+            assert modular_answer(field, rows, rhs) is modular.UNDECIDED
+            want = exact_solution(field, rows, rhs)
+            assert want[2] == field.zero
+            got = solve(Matrix.from_rows(rows, field=field), rhs)
+            assert got == want
+            assert mat_vec(field, rows, got) == rhs
+
+    def test_inconsistent_is_none(self):
+        rng = random.Random(43)
+        for m in CONDUCTORS:
+            field = cyclotomic_field(m)
+            rows = [[rand_element(field, rng) for _ in range(2)]
+                    for _ in range(4)]
+            rhs = [rand_element(field, rng) for _ in range(4)]
+            assert exact_solution(field, rows, rhs) is None
+            assert modular_answer(field, rows, rhs) is None
+            assert solve(Matrix.from_rows(rows, field=field), rhs) is None
+
+    def test_contradiction_before_full_rank_is_none(self):
+        # a repeated row with another right-hand side contradicts before
+        # the columns are all pivots; every other row agrees with x0
+        rng = random.Random(45)
+        for m in CONDUCTORS:
+            field = cyclotomic_field(m)
+            rows = [[rand_element(field, rng) for _ in range(2)]
+                    for _ in range(4)]
+            rhs = mat_vec(field, rows, [rand_element(field, rng)
+                                        for _ in range(2)])
+            rows.insert(1, rows[0])
+            rhs.insert(1, rhs[0] + 1)
+            assert exact_solution(field, rows, rhs) is None
+            assert modular_answer(field, rows, rhs) is None
+            assert solve(Matrix.from_rows(rows, field=field), rhs) is None
+
+    def test_large_heights_need_several_primes(self, monkeypatch):
+        rng = random.Random(47)
+        field = cyclotomic_field(12)
+        rows = [[rand_element(field, rng) for _ in range(3)]
+                for _ in range(5)]
+        x0 = [field.element([Fraction(rng.randint(2**40, 2**41),
+                                      rng.randint(2**33, 2**34))
+                             for _ in range(field.degree)])
+              for _ in range(3)]
+        rhs = mat_vec(field, rows, x0)
+        assert modular_answer(field, rows, rhs) == [v.coords for v in x0]
+        assert solve(Matrix.from_rows(rows, field=field), rhs) == x0
+        monkeypatch.setattr(modular, "MAX_PRIMES", 1)
+        assert modular_answer(field, rows, rhs) is modular.UNDECIDED
+        assert solve(Matrix.from_rows(rows, field=field), rhs) == x0
+
+    def test_reconstruction_respects_its_bound(self):
+        p = 1000003
+        bound = 707
+        assert modular._reconstruct(3 * pow(4, -1, p) % p, p, bound) \
+            == Fraction(3, 4)
+        assert modular._reconstruct(p - 5 * pow(7, -1, p) % p, p, bound) \
+            == Fraction(-5, 7)
+        # 1/1000 needs a denominator above the bound
+        assert modular._reconstruct(pow(1000, -1, p), p, bound) is None
+
+    def test_exact_check_rejects_a_wrong_solution(self):
+        rng = random.Random(59)
+        field = cyclotomic_field(15)
+        rows = [[rand_element(field, rng, 5, (1, 3)) for _ in range(2)]
+                for _ in range(3)]
+        x0 = [rand_element(field, rng, 5, (1, 2)) for _ in range(2)]
+        rhs = mat_vec(field, rows, x0)
+        int_rows = modular._integer_rows(
+            [[e.coords for e in row] + [b.coords] for row, b in zip(rows, rhs)])
+        phi = [int(c) for c in field.minpoly]
+        assert modular._verify(int_rows, [v.coords for v in x0], phi)
+        wrong = [v.coords for v in x0]
+        wrong[1] = (wrong[1][0] + Fraction(1, 2),) + wrong[1][1:]
+        assert not modular._verify(int_rows, wrong, phi)
+
+    def test_non_cyclotomic_modulus_is_exact(self):
+        rng = random.Random(53)
+        field = NumberField("z", [-2, 0, 1])
+        rows = [[rand_element(field, rng) for _ in range(3)]
+                for _ in range(4)]
+        x0 = [rand_element(field, rng) for _ in range(3)]
+        rhs = mat_vec(field, rows, x0)
+        got = solve(Matrix.from_rows(rows, field=field), rhs)
+        assert got == exact_solution(field, rows, rhs) == x0
+
+    def test_reducible_modulus_still_raises(self):
+        field = NumberField("z", [-1, 0, 1])
+        z = field.gen()
+        rows = [[z - 1, field.one], [field.one, z]]
+        with pytest.raises(NotInvertible):
+            solve(Matrix.from_rows(rows, field=field), [field.one, z])

@@ -145,3 +145,14 @@ def test_extension_validation():
         parse_extension("z: 2*z^2 + 1")
     with pytest.raises(InvalidExtension):
         parse_extension("z: z^2 + 2*z + 1")
+
+
+def test_nesting_limit():
+    from apolarity.parser import MAX_NESTING
+    deep = "(" * 100 + "x0 + x1" + ")" * 100
+    assert parse_poly(deep) == parse_poly("x0 + x1")
+    edge = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_poly(edge) == parse_poly("x")
+    with pytest.raises(ParseError) as info:
+        parse_poly("x*" + "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
+    assert info.value.position == 2 + MAX_NESTING

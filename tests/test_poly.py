@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from apolarity.errors import NonHomogeneous, VarSetMismatch, ZeroForm
-from apolarity.fields import QQ, NumberField
+from apolarity.fields import QQ, NumberField, cyclotomic_field, root_of_unity
 from apolarity.poly import (
     Poly,
     VarSet,
@@ -119,6 +119,19 @@ class TestPowerOfLinear:
         z = field.gen()
         ell = linear_form(V2, [field.one, z], field)
         assert power_of_linear(ell, 3) == ell * ell * ell
+
+    def test_power_table_with_zero_coordinate(self):
+        # coordinates zeta^7, 0, 2 - zeta^3 over Q(zeta_30), degree 8
+        field = cyclotomic_field(30)
+        z = field.gen()
+        ell = linear_form(V3, [root_of_unity(field, 30, 7), field.zero,
+                               z * z * z * -1 + 2], field)
+        by_products = Poly.constant(V3, 1, field)
+        for d in range(1, 10):
+            by_products = by_products * ell
+            if d >= 8:
+                assert power_of_linear(ell, d) == by_products
+        assert power_of_linear(ell, 0) == Poly.constant(V3, 1, field)
 
     def test_contraction_identity_sample(self):
         # g o L^d = d!/(d-delta)! g(a) L^(d-delta) for L = a0 x0 + a1 x1
