@@ -24,9 +24,10 @@ from .bounds import (ChangeOfBasis, LinearCaseAnalysis, LowerBoundWitness,
                      Prop36Report, RankCertificate, UpperBoundWitness,
                      certify, essential_vars, linear_candidate_analysis,
                      lower_bound, prop36_check, upper_bound_from_points)
-from .families import (FamilyMatch, SylvesterResult, VandermondeResult,
-                       XaSumBResult, build_vandermonde, build_xa_sum_b,
-                       ci_rank, classify, detect_x0a_g, elementary_symmetric,
+from .families import (FamilyAnalysis, FamilyMatch, SylvesterResult,
+                       VandermondeResult, XaSumBResult, analyze,
+                       build_vandermonde, build_xa_sum_b, ci_rank, classify,
+                       detect_x0a_g, elementary_symmetric,
                        monomial_certificate, monomial_points, monomial_rank,
                        sylvester, vandermonde, x0a_g_certificate,
                        xa_sum_b_rank)
@@ -53,8 +54,9 @@ __all__ = [
     "Prop36Report", "RankCertificate", "UpperBoundWitness", "certify",
     "essential_vars", "linear_candidate_analysis", "lower_bound",
     "prop36_check", "upper_bound_from_points",
-    "FamilyMatch", "SylvesterResult", "VandermondeResult", "XaSumBResult",
-    "build_vandermonde", "build_xa_sum_b", "ci_rank", "classify",
+    "FamilyAnalysis", "FamilyMatch", "SylvesterResult", "VandermondeResult",
+    "XaSumBResult", "analyze", "build_vandermonde", "build_xa_sum_b",
+    "ci_rank", "classify",
     "detect_x0a_g", "elementary_symmetric", "monomial_certificate",
     "monomial_points", "monomial_rank", "sylvester", "vandermonde",
     "x0a_g_certificate", "xa_sum_b_rank",

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import QQ, FieldElement, NumberField
 from .linalg import Matrix, Subspace, kernel, matrix_rank, subspace_intersect
-from .poly import Exps, Poly, VarSet, monomial_basis, space_dim
+from .poly import Exps, Poly, VarSet, _falling, monomial_basis, space_dim
 
 
 @lru_cache(maxsize=None)
@@ -45,13 +45,6 @@ def _shift_map(nvars: int, degree: int, alpha: Exps) -> tuple[int, ...]:
         target[tuple(a + b for a, b in zip(m, alpha))]
         for m in monomial_basis(nvars, degree)
     )
-
-
-def _falling(b: int, a: int) -> int:
-    out = 1
-    for j in range(a):
-        out *= b - j
-    return out
 
 
 def _raw_zero(field: NumberField):

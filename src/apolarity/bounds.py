@@ -25,6 +25,7 @@ from .apolar import (
 )
 from .apolar import _poly_raw_vector
 from .errors import (
+    AmbientMismatch,
     DegreeMismatch,
     DuplicatePoint,
     EmptyGeneratorList,
@@ -87,6 +88,16 @@ class UpperBoundWitness:
         return out
 
 
+def witness_fields(lower: LowerBoundWitness,
+                   upper: UpperBoundWitness | None) -> dict:
+    """The lower witness's fields, then the upper one's; a cited upper bound
+    shows as empty point and coefficient lists."""
+    out = lower.as_dict()
+    out.update({"points": [], "coefficients": []} if upper is None
+               else upper.as_dict())
+    return out
+
+
 @dataclass(frozen=True)
 class RankCertificate:
     """Pairing of a lower-bound witness with an upper bound (points or cited)."""
@@ -108,12 +119,7 @@ class RankCertificate:
 
     def as_dict(self) -> dict:
         out = {"form": str(self.form)}
-        out.update(self.lower.as_dict())
-        if self.upper is not None:
-            out.update(self.upper.as_dict())
-        else:
-            out["points"] = []
-            out["coefficients"] = []
+        out.update(witness_fields(self.lower, self.upper))
         out["status"] = self.status
         if self.cited_rank is not None:
             out["cited_rank"] = self.cited_rank
@@ -240,6 +246,9 @@ def upper_bound_from_points(f: Poly, points,
     norm = []
     seen = set()
     for p in points:
+        if len(p) != len(f.varset):
+            raise AmbientMismatch(
+                "point length does not match the variable count")
         q = normalize_point(p, fld)
         key = tuple(v.coords for v in q)
         if key in seen:

@@ -4,7 +4,8 @@ One verb per invocation; every verb accepts --json for the structured
 report and prints aligned text otherwise. Exit codes: 0 for success or a
 certified result, 2 for bounds-only or conditional results, 3 for refuted
 or refused checks, 1 for usage and input errors. Output carries no color
-codes, so NO_COLOR needs no special handling.
+codes, so NO_COLOR needs no special handling. `rank` renders the record of
+families.analyze without looking at the family tag.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from .apolar import catalecticant, hf, minimal_generators, perp
 from .bounds import certify, essential_vars, lower_bound, upper_bound_from_points
 from .linalg import matrix_rank
 from .errors import ApolarityError, ParseError
-from .families import (classify, monomial_certificate, sylvester,
-                       vandermonde, x0a_g_certificate, xa_sum_b_rank)
+from .families import analyze, sylvester, vandermonde
 from .parser import parse_extension, parse_poly
-from .poly import Poly, VarSet, restrict_to_vars, split_disjoint
+from .poly import Poly, restrict_to_vars, split_disjoint
 from .strassen import strassen_rank
 
 ERROR_ORIGIN = {
@@ -44,13 +44,6 @@ FAMILY_LABEL = {
     "XaSumBPlusPower": "power-times-sum", "X0aG": "power-times-form",
     "Vandermonde": "vandermonde", "None": "generic",
 }
-
-
-def _dual_str(p: Poly) -> str:
-    # contraction operators print with the first letter of each variable
-    # uppercased
-    names = tuple(n[0].upper() + n[1:] for n in p.varset.names)
-    return str(Poly(VarSet(names), dict(p.terms), p.field))
 
 
 def _read_expr(text: str) -> str:
@@ -119,7 +112,7 @@ def _cmd_perp(args):
     lines = []
     slices = []
     for i, sl in enumerate(ideal.slices):
-        basis = [_dual_str(p) for p in ideal.slice_polys(i)]
+        basis = [p.dual_str() for p in ideal.slice_polys(i)]
         slices.append({"degree": i, "dim": sl.dim, "basis": basis})
         lines.append(f"degree {i}: dim {sl.dim}")
         for b in basis:
@@ -134,9 +127,9 @@ def _cmd_gens(args):
     f, _, _ = _load_form(args)
     D = args.degree_cap if args.degree_cap is not None else f.degree() + 1
     gens = minimal_generators(perp(f, D))
-    lines = [f"deg {g.degree()}: {_dual_str(g)}" for g in gens]
+    lines = [f"deg {g.degree()}: {g.dual_str()}" for g in gens]
     data = {"module": "apolar", "form": str(f), "degree_cap": D,
-            "generators": [{"degree": g.degree(), "op": _dual_str(g)}
+            "generators": [{"degree": g.degree(), "op": g.dual_str()}
                            for g in gens]}
     _emit(args, data, lines)
     return 0
@@ -178,8 +171,8 @@ def _cmd_lb(args):
         t = ops[0] if ops else None
     w = lower_bound(f, gens, t, args.seed)
     lines = [f"e = {w.e}",
-             "ideal = (" + ", ".join(_dual_str(g) for g in w.gens) + ")",
-             f"t = {_dual_str(w.t)}", "hf:"]
+             "ideal = (" + ", ".join(g.dual_str() for g in w.gens) + ")",
+             f"t = {w.t.dual_str()}", "hf:"]
     lines += _hf_rows(w.profile.values)
     lines.append(f"lower bound = {w.bound} ({w.validity})")
     data = {"module": "bounds", "form": str(f)}
@@ -237,67 +230,30 @@ def _cmd_certify(args):
 
 def _cmd_rank(args):
     f, _, _ = _load_form(args)
-    match = classify(f)
-    label = FAMILY_LABEL.get(match.tag, "generic")
+    found = analyze(f, seed=args.seed, e=args.e or 1)
+    label = FAMILY_LABEL[found.tag]
     data = {"module": "families", "form": str(f), "family": label}
-
-    if match.tag == "Monomial":
-        cert = monomial_certificate(f, args.e if args.e else 1)
-        data.update(cert.as_dict())
-        _emit(args, data, [f"rank = {cert.rank} ({label}, certified)"])
-        return 0
-    if match.tag == "Vandermonde":
-        res = vandermonde(match.parameters["n"])
-        data.update(res.as_dict())
-        _emit(args, data, [f"rank = {res.rank} ({label}, certified)"])
-        return 0
-    if match.tag in ("XaSumB", "XaSumBPlusPower"):
-        res = xa_sum_b_rank(match.parameters["a"], match.parameters["b"],
-                            match.parameters["n"],
-                            plus_power=match.tag == "XaSumBPlusPower",
-                            seed=args.seed)
-        data.update(res.as_dict())
-        if res.rank is not None:
-            _emit(args, data, [f"rank = {res.rank} ({label}, certified)"])
-            return 0
-        lo, hi = res.interval
-        _emit(args, data, [f"{lo} <= rank <= {hi} ({label}, bounds only)"])
-        return 2
-    if match.tag == "X0aG":
-        cert = x0a_g_certificate(f)
-        data.update(cert.as_dict())
-        if cert.rank is not None:
-            _emit(args, data, [f"rank = {cert.rank} ({label}, certified)"])
-            return 0
-        _emit(args, data,
-              [f"rank >= {cert.lower.bound} ({label}, bounds only)"])
-        return 2
-    if match.tag == "Binary":
-        syl = sylvester(f)
-        data.update({"h1": _dual_str(syl.h1), "h2": _dual_str(syl.h2),
-                     "d1": syl.d1, "d2": syl.d2,
-                     "squarefree_h1": syl.squarefree_h1, "rank": syl.rank})
-        _emit(args, data, [f"rank = {syl.rank} ({label}, certified)"])
-        return 0
-    gens = [Poly.variable(f.varset, i, field=f.field)
-            for i in range(len(f.varset))]
-    cert = certify(f, gens, seed=args.seed)
-    data.update(cert.as_dict())
-    _emit(args, data,
-          [f"rank >= {cert.lower.bound} ({label}, bounds only)"])
-    return 2
+    data.update(found.result.as_dict())
+    lo, hi = found.bounds
+    if found.rank is not None:
+        line, code = f"rank = {found.rank} ({label}, certified)", 0
+    elif hi is not None:
+        line, code = f"{lo} <= rank <= {hi} ({label}, bounds only)", 2
+    else:
+        line, code = f"rank >= {lo} ({label}, bounds only)", 2
+    _emit(args, data, [line])
+    return code
 
 
 def _cmd_sylvester(args):
     f, _, _ = _load_form(args)
     syl = sylvester(f)
     sq = "squarefree" if syl.squarefree_h1 else "not squarefree"
-    lines = [f"h1 = {_dual_str(syl.h1)} (degree {syl.d1}, {sq})",
-             f"h2 = {_dual_str(syl.h2)} (degree {syl.d2})",
+    lines = [f"h1 = {syl.h1.dual_str()} (degree {syl.d1}, {sq})",
+             f"h2 = {syl.h2.dual_str()} (degree {syl.d2})",
              f"rank = {syl.rank}"]
-    data = {"module": "families", "form": str(f), "h1": _dual_str(syl.h1),
-            "h2": _dual_str(syl.h2), "d1": syl.d1, "d2": syl.d2,
-            "squarefree_h1": syl.squarefree_h1, "rank": syl.rank}
+    data = {"module": "families", "form": str(f)}
+    data.update(syl.as_dict())
     _emit(args, data, lines)
     return 0
 

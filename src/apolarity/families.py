@@ -3,12 +3,17 @@
 Every family result recomputes its lower bound through the quotient engine
 rather than trusting the closed formula; upper bounds are either solved
 point decompositions or carried as self-contained cited statements.
+
+analyze() classifies a form and runs the engine that ENGINES maps its tag
+to. The FamilyAnalysis it returns is all that `apolarity rank` prints and
+all that strassen_rank pairs across blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,9 +22,11 @@ from .bounds import (
     LowerBoundWitness,
     RankCertificate,
     UpperBoundWitness,
+    certify,
     essential_vars,
     lower_bound,
     upper_bound_from_points,
+    witness_fields,
 )
 from .errors import (
     DegreeMismatch,
@@ -33,7 +40,8 @@ from .errors import (
     ParameterOutOfRange,
     ZeroForm,
 )
-from .fields import QQ, cyclotomic_field, root_of_unity, squarefree_check
+from .fields import (QQ, cyclotomic_field, root_of_unity, squarefree_check,
+                     squarefree_decomposition, uni_degree, uni_eval, uni_trim)
 from .poly import Poly, VarSet, apolar_action, restrict_to_vars
 
 MONOMIAL_CITATION = (
@@ -111,21 +119,24 @@ class SylvesterResult:
     squarefree_h1: bool
     rank: int
 
+    def as_dict(self) -> dict:
+        return {"h1": self.h1.dual_str(), "h2": self.h2.dual_str(),
+                "d1": self.d1, "d2": self.d2,
+                "squarefree_h1": self.squarefree_h1, "rank": self.rank}
+
+
+def _dehomogenize(h: Poly) -> tuple[tuple, int]:
+    # coefficients of the binary form h(t, 1) plus the multiplicity of its
+    # root at infinity (the degree drop)
+    d = h.degree()
+    p = uni_trim(h.coeff((k, d - k)).as_fraction() for k in range(d + 1))
+    return p, d - uni_degree(p)
+
 
 def _binary_squarefree(h: Poly) -> bool:
-    # squarefree over the closure: dehomogenize and keep the root at
-    # infinity (degree drop) to multiplicity <= 1
-    d = h.degree()
-    coeffs = []
-    for k in range(d + 1):
-        c = h.coeff((k, d - k))
-        coeffs.append(c.as_fraction())
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    drop = d - (len(coeffs) - 1)
-    if drop > 1:
-        return False
-    return squarefree_check(coeffs)
+    # squarefree over the closure: the root at infinity counts as well
+    p, drop = _dehomogenize(h)
+    return drop <= 1 and squarefree_check(p)
 
 
 def sylvester(f: Poly) -> SylvesterResult:
@@ -170,6 +181,99 @@ def sylvester(f: Poly) -> SylvesterResult:
     return SylvesterResult(h1, h2, d1, d2, False, d2)
 
 
+def _homogenize(varset, coeffs, degree: int) -> Poly:
+    # little-endian univariate p -> sum p[k] x0^k x1^(degree-k)
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c != 0:
+            terms[(k, degree - k)] = QQ.from_rational(Fraction(c))
+    return Poly(varset, terms, QQ)
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def _rational_linear_factors(h: Poly) -> list[Poly]:
+    """Degree-one factors of a binary form over the rationals."""
+    vs = h.varset
+    p, drop = _dehomogenize(h)
+    found = []
+    if drop >= 1:
+        found.append(Poly.variable(vs, 1))
+    v = 0
+    while v < len(p) and p[v] == 0:
+        v += 1
+    if v >= 1:
+        found.append(Poly.variable(vs, 0))
+        p = p[v:]
+    if uni_degree(p) >= 1:
+        # rational root theorem after clearing denominators
+        den = math.lcm(*(c.denominator for c in p))
+        ints = [int(c * den) for c in p]
+        lead, const = ints[-1], ints[0]
+        seen = set()
+        for num in _divisors(const):
+            for q in _divisors(lead):
+                for sign in (1, -1):
+                    r = Fraction(sign * num, q)
+                    if r in seen:
+                        continue
+                    seen.add(r)
+                    if uni_eval(p, r) == 0:
+                        found.append(Poly.variable(vs, 0)
+                                     - Poly.variable(vs, 1).scale(r))
+    return found
+
+
+def _square_part(h: Poly) -> Poly | None:
+    """Largest t with t^2 dividing the binary form, or None when trivial."""
+    vs = h.varset
+    p, drop = _dehomogenize(h)
+    part = Poly.monomial(vs, (0, 0))
+    if drop >= 2:
+        part = part * Poly.variable(vs, 1, drop // 2)
+    for fac, mult in squarefree_decomposition(p):
+        if mult >= 2 and uni_degree(fac) >= 1:
+            piece = _homogenize(vs, fac, uni_degree(fac))
+            for _ in range(mult // 2):
+                part = part * piece
+    return part if not part.is_zero() and part.degree() >= 1 else None
+
+
+def _binary_e_options(g: Poly, syl: SylvesterResult) -> dict:
+    """e -> (gens, t) choices certifying a binary rank through the engine.
+
+    Candidate contractions come from rational linear factors and square
+    parts of the annihilator generators and, in the equal-degree case, of
+    a few pencil members; a candidate survives only when the colon bound
+    reproduces the rank unconditionally.
+    """
+    sources = [syl.h1, syl.h2]
+    if syl.d1 == syl.d2:
+        for k in range(1, 4):
+            sources.append(syl.h1 + syl.h2.scale(k))
+            sources.append(syl.h1 + syl.h2.scale(-k))
+    candidates = []
+    for h in sources:
+        if h.is_zero():
+            continue
+        candidates.extend(_rational_linear_factors(h))
+        sq = _square_part(h)
+        if sq is not None:
+            candidates.append(sq)
+    options = {}
+    for t in candidates:
+        e = t.degree()
+        if e < 1 or e in options:
+            continue
+        witness = lower_bound(g, [t], t)
+        if witness.bound == syl.rank and witness.validity == "unconditional":
+            options[e] = ((t,), t)
+    return dict(sorted(options.items()))
+
+
 def _monomial_data(f: Poly):
     if f.is_zero() or len(f.terms) != 1:
         raise NotMonomial("expected a single nonzero term")
@@ -179,6 +283,13 @@ def _monomial_data(f: Poly):
     involved = [i for i, e in enumerate(exps) if e > 0]
     pivot = min(involved, key=lambda i: exps[i])
     return exps, involved, pivot
+
+
+def _monomial_inputs(f: Poly, e: int):
+    """((t,), t) for t = X_p^e, X_p dual to a least positive exponent."""
+    _, _, pivot = _monomial_data(f)
+    t = Poly.variable(f.varset, pivot, e, field=f.field)
+    return (t,), t
 
 
 def monomial_rank(f: Poly) -> int:
@@ -217,13 +328,13 @@ def monomial_certificate(f: Poly, e: int = 1,
     With solve_points=False the decomposition is carried as a cited
     statement instead of being solved exactly (cheaper for large ranks).
     """
-    exps, involved, pivot = _monomial_data(f)
+    exps, _, pivot = _monomial_data(f)
     a0 = exps[pivot]
     if e < 1 or 2 * e > a0 + 1:
         raise EOutOfRange(f"need 1 <= e <= {(a0 + 1) // 2} for least exponent {a0}")
     rank = monomial_rank(f)
-    te = Poly.variable(f.varset, pivot, e, field=f.field)
-    witness = lower_bound(f, [te], te)
+    gens, te = _monomial_inputs(f, e)
+    witness = lower_bound(f, list(gens), te)
     if witness.bound != rank:
         raise ArithmeticError("monomial bound disagreed with the formula")
     if not solve_points:
@@ -262,12 +373,7 @@ class XaSumBResult:
                 "citation": self.citations[0],
             },
         }
-        out.update(self.lower.as_dict())
-        if self.upper is not None:
-            out.update(self.upper.as_dict())
-        else:
-            out["points"] = []
-            out["coefficients"] = []
+        out.update(witness_fields(self.lower, self.upper))
         out["status"] = self.status
         if self.rank is not None:
             out["rank"] = self.rank
@@ -496,12 +602,7 @@ class VandermondeResult:
             "family": {"tag": "Vandermonde", "parameters": {"n": self.n},
                        "citation": self.citation},
         }
-        out.update(self.lower.as_dict())
-        if self.upper is not None:
-            out.update(self.upper.as_dict())
-        else:
-            out["points"] = []
-            out["coefficients"] = []
+        out.update(witness_fields(self.lower, self.upper))
         out["status"] = self.status
         out["rank"] = self.rank
         return out
@@ -619,3 +720,123 @@ def classify(f: Poly) -> FamilyMatch:
         if len(f.varset) - change.removed == 2:
             return FamilyMatch("Binary", {}, BINARY_CITATION)
     return FamilyMatch("None", {}, "")
+
+
+# -- the engine table: one entry per classify() tag
+
+@dataclass(frozen=True)
+class FamilyAnalysis:
+    """A form's answer from the engine of its family. result.as_dict() is
+    the body of `apolarity rank --json`; block() returns the certificate
+    and the {e: (gens, t)} e-options strassen pairs, and does the work only
+    strassen needs (the binary e-option search)."""
+
+    tag: str
+    bounds: tuple[int, int | None]
+    result: object
+    citations: tuple[str, ...]
+    block: Callable[[], tuple[RankCertificate, dict]]
+
+    @property
+    def rank(self) -> int | None:
+        lo, hi = self.bounds
+        return lo if lo == hi else None
+
+
+def _variables(f: Poly) -> list[Poly]:
+    return [Poly.variable(f.varset, i, field=f.field)
+            for i in range(len(f.varset))]
+
+
+def _block_certificate(f: Poly, res, citation: str) -> RankCertificate:
+    # a Vandermonde or XaSumB result as a certificate for the form itself
+    cited = res.rank if res.status == "cited-upper" else None
+    return RankCertificate(f, res.lower, res.upper, res.status, cited,
+                           None if cited is None else citation)
+
+
+def _monomial_engine(f, match, seed, e, solve_cap):
+    rank = monomial_rank(f)
+    cert = monomial_certificate(
+        f, e, solve_points=solve_cap is None or rank <= solve_cap)
+    a0 = min(x for x in match.parameters["exponents"] if x > 0)
+    es = range(1, (a0 + 1) // 2 + 1)
+    return FamilyAnalysis(match.tag, (rank, rank), cert, (MONOMIAL_CITATION,),
+                          lambda: (cert, {k: _monomial_inputs(f, k)
+                                          for k in es}))
+
+
+def _vandermonde_engine(f, match, seed, e, solve_cap):
+    res = vandermonde(match.parameters["n"])
+    cert = _block_certificate(f, res, res.citation)
+    t = Poly.variable(f.varset, 0)
+    return FamilyAnalysis(match.tag, (res.rank, res.rank), res,
+                          (res.citation,), lambda: (cert, {1: ((t,), t)}))
+
+
+def _xa_sum_b_engine(f, match, seed, e, solve_cap):
+    a, b, n = (match.parameters[k] for k in ("a", "b", "n"))
+    res = xa_sum_b_rank(a, b, n, plus_power=match.tag == "XaSumBPlusPower",
+                        seed=seed)
+    cert = _block_certificate(f, res, res.citations[0])
+    options = {}
+    if res.rank is not None and res.regime != "open":
+        # only these regimes carry an engine witness reaching the rank
+        options[1] = (res.lower.gens, res.lower.t)
+    return FamilyAnalysis(match.tag, res.interval, res, res.citations,
+                          lambda: (cert, options))
+
+
+def _x0a_g_engine(f, match, seed, e, solve_cap):
+    cert = x0a_g_certificate(f)
+    q = Poly.variable(f.varset, match.parameters["pivot"])
+    return FamilyAnalysis(match.tag, (cert.rank, cert.rank), cert,
+                          (CI_CITATION,), lambda: (cert, {1: ((q,), q)}))
+
+
+def _binary_engine(f, match, seed, e, solve_cap):
+    syl = sylvester(f)
+
+    def block():
+        options = _binary_e_options(f, syl) if len(f.varset) == 2 else {}
+        if options:
+            gens, t = options[min(options)]
+            witness = lower_bound(f, list(gens), t)
+        else:
+            witness = lower_bound(f, _variables(f), None, seed)
+        return RankCertificate(f, witness, None, "cited-upper", syl.rank,
+                               BINARY_CITATION), options
+    return FamilyAnalysis(match.tag, (syl.rank, syl.rank), syl,
+                          (BINARY_CITATION,), block)
+
+
+def _generic_engine(f, match, seed, e, solve_cap):
+    # no family recognized: bounds from the colon by all the variables
+    cert = certify(f, _variables(f), seed=seed)
+    return FamilyAnalysis(match.tag, (cert.lower.bound, None), cert, (),
+                          lambda: (cert, {}))
+
+
+# tag -> engine(f, match, seed, e, solve_cap) returning a FamilyAnalysis
+ENGINES = {
+    "Monomial": _monomial_engine,
+    "Vandermonde": _vandermonde_engine,
+    "XaSumB": _xa_sum_b_engine,
+    "XaSumBPlusPower": _xa_sum_b_engine,
+    "X0aG": _x0a_g_engine,
+    "Binary": _binary_engine,
+    "None": _generic_engine,
+}
+
+
+def analyze(f: Poly, seed: int = 0, e: int = 1,
+            solve_cap: int | None = None) -> FamilyAnalysis:
+    """Classify F and run the engine of its family once.
+
+    seed drives the generic draws of t, e is the colon degree of the
+    monomial certificate, and solve_cap is the largest monomial rank whose
+    points are solved exactly (None solves them all); above it the
+    decomposition is cited.
+    """
+    match = classify(f)
+    return ENGINES[match.tag](f, match, seed, e, solve_cap)

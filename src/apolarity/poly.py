@@ -341,6 +341,12 @@ class Poly:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
 
+    def dual_str(self) -> str:
+        """Rendering as a contraction operator: each variable name with its
+        first letter uppercased."""
+        names = tuple(n[0].upper() + n[1:] for n in self.varset.names)
+        return str(Poly(VarSet(names), dict(self.terms), self.field))
+
     def __repr__(self):
         return f"Poly({self})"
 

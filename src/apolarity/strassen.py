@@ -4,27 +4,25 @@ A form F = F_1 + ... + F_m whose summands use pairwise disjoint variables
 has rk(F) = sum rk(F_i) whenever every summand is e-computable for one
 common e and the degree-e slice of each annihilator vanishes in the
 summand's essential variables. strassen_rank splits a form into its
-variable-disjoint blocks, certifies each block through the family engines,
-and searches for a shared e. lemma52_hf_check verifies the Hilbert
-function identity behind the additivity argument on explicit witnesses.
+variable-disjoint blocks, certifies each block through the family engine
+table (families.analyze, which also answers `apolarity rank`), and
+searches for a shared e among the blocks' e-options. lemma52_hf_check
+verifies the Hilbert function identity behind the additivity argument on
+explicit witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .apolar import add_principal, catalecticant, colon_by_ideal, hf
 from .bounds import RankCertificate, certify, essential_vars, lower_bound
 from .errors import (DegreeMismatch, EmptyGeneratorList, EOutOfRange,
                      FieldMismatch, MixedDegrees, ZeroForm)
-from .families import (BINARY_CITATION, CI_CITATION, MONOMIAL_CITATION,
-                       XASUMB_GEQ_CITATION, SylvesterResult, ci_rank,
-                       classify, monomial_certificate, monomial_rank,
-                       sylvester, vandermonde, x0a_g_certificate,
-                       xa_sum_b_rank)
-from .fields import QQ, squarefree_decomposition, uni_degree, uni_eval, uni_trim
+from .families import (CI_CITATION, XASUMB_GEQ_CITATION, _monomial_inputs,
+                       analyze, ci_rank, classify, monomial_certificate,
+                       monomial_rank)
 from .linalg import kernel, subspace_intersect
 from .poly import Poly, restrict_to_vars, space_dim, split_disjoint
 
@@ -51,6 +49,10 @@ NO_SHARED_E_NOTE = (
 RESTRICTION_LOWER_NOTE = (
     "setting the variables of the other summands to zero restricts any "
     "decomposition, so max_i rk(F_i) = {0} is an unconditional lower bound")
+
+# largest monomial block rank whose points are solved; beyond it the
+# decomposition is cited (`apolarity rank` solves every monomial)
+SOLVE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -123,131 +125,23 @@ class StrassenReport:
         return self.verdict == "certified"
 
 
-def _homogenize(varset, coeffs, degree: int) -> Poly:
-    # little-endian univariate p -> sum p[k] x0^k x1^(degree-k)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            terms[(k, degree - k)] = QQ.from_rational(Fraction(c))
-    return Poly(varset, terms, QQ)
-
-
-def _dehomogenize(h: Poly) -> tuple[list, int]:
-    # coefficients of h(t, 1) plus the multiplicity of the root at infinity
-    d = h.degree()
-    coeffs = [h.coeff((k, d - k)).as_fraction() for k in range(d + 1)]
-    trimmed = uni_trim(coeffs)
-    return trimmed, d - uni_degree(trimmed)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    return [k for k in range(1, n + 1) if n % k == 0]
-
-
-def _rational_linear_factors(h: Poly) -> list[Poly]:
-    """Degree-one factors of a binary form over the rationals."""
-    vs = h.varset
-    p, drop = _dehomogenize(h)
-    found = []
-    if drop >= 1:
-        found.append(Poly.variable(vs, 1))
-    v = 0
-    while v < len(p) and p[v] == 0:
-        v += 1
-    if v >= 1:
-        found.append(Poly.variable(vs, 0))
-        p = p[v:]
-    if uni_degree(p) >= 1:
-        # rational root theorem after clearing denominators
-        den = 1
-        for c in p:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        ints = [int(c * den) for c in p]
-        lead, const = ints[-1], ints[0]
-        seen = set()
-        for num in _divisors(const):
-            for q in _divisors(lead):
-                for sign in (1, -1):
-                    r = Fraction(sign * num, q)
-                    if r in seen:
-                        continue
-                    seen.add(r)
-                    if uni_eval(p, r) == 0:
-                        found.append(Poly.variable(vs, 0)
-                                     - Poly.variable(vs, 1).scale(r))
-    return found
-
-
-def _square_part(h: Poly) -> Poly | None:
-    """Largest t with t^2 dividing the binary form, or None when trivial."""
-    vs = h.varset
-    p, drop = _dehomogenize(h)
-    part = Poly.monomial(vs, (0, 0))
-    if drop >= 2:
-        part = part * Poly.variable(vs, 1, drop // 2)
-    for fac, mult in squarefree_decomposition(p):
-        if mult >= 2 and uni_degree(fac) >= 1:
-            piece = _homogenize(vs, fac, uni_degree(fac))
-            for _ in range(mult // 2):
-                part = part * piece
-    return part if not part.is_zero() and part.degree() >= 1 else None
-
-
-def _binary_e_options(g: Poly, syl: SylvesterResult) -> dict:
-    """e -> (gens, t) choices certifying a binary rank through the engine.
-
-    Candidate contractions come from rational linear factors and square
-    parts of the annihilator generators and, in the equal-degree case, of
-    a few pencil members; a candidate survives only when the colon bound
-    reproduces the rank unconditionally.
-    """
-    sources = [syl.h1, syl.h2]
-    if syl.d1 == syl.d2:
-        for k in range(1, 4):
-            sources.append(syl.h1 + syl.h2.scale(k))
-            sources.append(syl.h1 + syl.h2.scale(-k))
-    candidates = []
-    for h in sources:
-        if h.is_zero():
-            continue
-        candidates.extend(_rational_linear_factors(h))
-        sq = _square_part(h)
-        if sq is not None:
-            candidates.append(sq)
-    options = {}
-    for t in candidates:
-        e = t.degree()
-        if e < 1 or e in options:
-            continue
-        witness = lower_bound(g, [t], t)
-        if witness.bound == syl.rank and witness.validity == "unconditional":
-            options[e] = ((t,), t)
-    return dict(sorted(options.items()))
-
-
 class _Summand:
-    """Working record for one block: exact rank, bounds, e -> witness map."""
+    """Working record for one block: bounds, e -> witness map, certificate."""
 
-    def __init__(self, form, block, family, rank, bounds, options,
-                 essential, fallback, citations=()):
+    def __init__(self, form, block, family, bounds, options, essential,
+                 fallback, citations, reduced):
         self.form = form
         self.block = block
         self.family = family
-        self.rank = rank
         self.bounds = bounds
+        self.rank = bounds[0] if bounds[0] == bounds[1] else None
         self.options = options      # {e: (gens, t)} engine inputs per e
         self.essential = essential
         self.fallback = fallback    # RankCertificate when no shared e fits
         self.citations = tuple(citations)
+        self.reduced = reduced      # the form in its essential variables
 
-    def report(self, e: int | None, reduced: Poly) -> SummandReport:
+    def report(self, e: int | None) -> SummandReport:
         if e is not None and e in self.options:
             gens, t = self.options[e]
             witness = lower_bound(self.form, list(gens), t)
@@ -258,7 +152,7 @@ class _Summand:
                                    self.fallback.status,
                                    self.fallback.cited_rank,
                                    self.fallback.citation)
-            perp_zero = kernel(catalecticant(reduced, e).matrix).dim == 0
+            perp_zero = kernel(catalecticant(self.reduced, e).matrix).dim == 0
             return SummandReport(self.form, self.block, self.family, cert,
                                  self.rank, self.bounds, tuple(self.options),
                                  e, self.essential, perp_zero)
@@ -267,112 +161,32 @@ class _Summand:
                              tuple(self.options), None, self.essential, None)
 
 
-def _monomial_inputs(f: Poly, e: int):
-    exps = next(iter(f.terms))
-    pivot = min((x, i) for i, x in enumerate(exps) if x > 0)[1]
-    t = Poly.variable(f.varset, pivot, e, field=f.field)
-    return (t,), t
-
-
-def _analyze_block(g: Poly, block, hint, seed: int):
-    """Classify one block; return its working record and reduced form."""
+def _analyze_block(g: Poly, block, hint, seed: int) -> _Summand:
+    """Certify one block through the CI hint, the pure-power rule or the
+    family engine table."""
     change, reduced_full = essential_vars(g)
     ess = len(g.varset) - change.removed
     red = restrict_to_vars(reduced_full, tuple(range(ess)))
-    d = g.degree()
 
     if hint is not None and hint[0] == "ci":
         _, q, a = hint
         cert = ci_rank(g, q, a)
-        e = q.degree()
-        return _Summand(g, block, "CIperp", cert.rank,
-                        (cert.rank, cert.rank), {e: ((q,), q)}, ess, cert,
-                        citations=(CI_CITATION,)), red
+        return _Summand(g, block, "CIperp", (cert.rank, cert.rank),
+                        {q.degree(): ((q,), q)}, ess, cert, (CI_CITATION,),
+                        red)
 
     if ess == 1:
         # pure power of a linear form: rank 1 at every admissible e
         cert = monomial_certificate(red)
         options = {e: _monomial_inputs(red, e)
-                   for e in range(1, (d + 1) // 2 + 1)}
-        return _Summand(red, block, "Monomial", 1, (1, 1), options, 1, cert,
-                        citations=(FRESH_POWER_CITATION,)), red
+                   for e in range(1, (g.degree() + 1) // 2 + 1)}
+        return _Summand(red, block, "Monomial", (1, 1), options, 1, cert,
+                        (FRESH_POWER_CITATION,), red)
 
-    match = classify(g)
-
-    if match.tag == "Monomial":
-        exps = tuple(match.parameters["exponents"])
-        a0 = min(x for x in exps if x > 0)
-        rank = monomial_rank(g)
-        cert = monomial_certificate(g, solve_points=rank <= 8)
-        options = {e: _monomial_inputs(g, e)
-                   for e in range(1, (a0 + 1) // 2 + 1)}
-        return _Summand(g, block, "Monomial", rank, (rank, rank), options,
-                        ess, cert, citations=(MONOMIAL_CITATION,)), red
-
-    if match.tag == "Vandermonde":
-        n = match.parameters["n"]
-        res = vandermonde(n, solve_points=n <= 4)
-        cited = None if res.status == "certified-equal" else res.rank
-        cert = RankCertificate(g, res.lower, res.upper, res.status, cited,
-                               None if cited is None else res.citation)
-        t = Poly.variable(g.varset, 0)
-        return _Summand(g, block, "Vandermonde", res.rank,
-                        (res.rank, res.rank), {1: ((t,), t)}, ess, cert,
-                        citations=(res.citation,)), red
-
-    if match.tag in ("XaSumB", "XaSumBPlusPower"):
-        a, b, n = (match.parameters[k] for k in ("a", "b", "n"))
-        res = xa_sum_b_rank(a, b, n,
-                            plus_power=match.tag == "XaSumBPlusPower",
-                            seed=seed)
-        cited = res.rank if res.status == "cited-upper" else None
-        cert = RankCertificate(g, res.lower, res.upper, res.status, cited,
-                               res.citations[0] if cited is not None
-                               else None)
-        options = {}
-        if res.rank is not None and res.regime in ("a+1>=b", "n=2"):
-            # only these regimes carry an engine witness reaching the rank
-            options[1] = (res.lower.gens, res.lower.t)
-        lo = res.interval[0] if res.rank is None else res.rank
-        hi = res.interval[1] if res.rank is None else res.rank
-        return _Summand(g, block, match.tag, res.rank, (lo, hi), options,
-                        ess, cert, citations=res.citations), red
-
-    if match.tag == "X0aG":
-        cert = x0a_g_certificate(g)
-        q = Poly.variable(g.varset, match.parameters["pivot"])
-        options = {1: ((q,), q)} if cert.rank is not None else {}
-        rank = cert.rank
-        lo = cert.lower.bound if rank is None else rank
-        hi = (None if cert.upper is None else cert.upper.count) \
-            if rank is None else rank
-        return _Summand(g, block, "X0aG", rank, (lo, hi), options, ess,
-                        cert, citations=(CI_CITATION,)), red
-
-    if match.tag == "Binary":
-        syl = sylvester(g)
-        options = {}
-        if len(g.varset) == 2:
-            options = _binary_e_options(g, syl)
-        if options:
-            gens0, t0 = options[min(options)]
-            witness = lower_bound(g, list(gens0), t0)
-        else:
-            vgens = [Poly.variable(g.varset, i, field=g.field)
-                     for i in range(len(g.varset))]
-            witness = lower_bound(g, vgens, None, seed)
-        cert = RankCertificate(g, witness, None, "cited-upper", syl.rank,
-                               BINARY_CITATION)
-        return _Summand(g, block, "Binary", syl.rank, (syl.rank, syl.rank),
-                        options, ess, cert,
-                        citations=(BINARY_CITATION,)), red
-
-    # no family recognized: generic bounds from the full variable colon
-    gens = [Poly.variable(g.varset, i, field=g.field)
-            for i in range(len(g.varset))]
-    cert = certify(g, gens, seed=seed)
-    return _Summand(g, block, "None", None, (cert.lower.bound, None), {},
-                    ess, cert), red
+    found = analyze(g, seed, solve_cap=SOLVE_CAP)
+    cert, options = found.block()
+    return _Summand(g, block, found.tag, found.bounds, options, ess, cert,
+                    found.citations, red)
 
 
 def strassen_rank(f: Poly, e: int | None = None, hints: dict | None = None,
@@ -405,13 +219,10 @@ def strassen_rank(f: Poly, e: int | None = None, hints: dict | None = None,
         return _refusal(f, blocks[0], seed)
     hints = hints or {}
     summands = []
-    reduced = []
     for idx, (comp, positions) in enumerate(blocks):
         g = restrict_to_vars(comp, positions)
         names = tuple(f.varset.names[i] for i in positions)
-        data, red = _analyze_block(g, names, hints.get(idx), seed)
-        summands.append(data)
-        reduced.append(red)
+        summands.append(_analyze_block(g, names, hints.get(idx), seed))
 
     shared = set.intersection(*[set(s.options) for s in summands])
     if e is not None:
@@ -425,8 +236,7 @@ def strassen_rank(f: Poly, e: int | None = None, hints: dict | None = None,
 
     if shared:
         e_star = min(shared)
-        reports = [s.report(e_star, red)
-                   for s, red in zip(summands, reduced)]
+        reports = [s.report(e_star) for s in summands]
         if all(r.perp_e_zero for r in reports):
             total = sum(r.rank for r in reports)
             return StrassenReport(f, tuple(reports), e_star, "certified",
@@ -434,13 +244,10 @@ def strassen_rank(f: Poly, e: int | None = None, hints: dict | None = None,
                                   tuple(citations))
         notes.append(f"a degree-{e_star} annihilator slice failed to "
                      "vanish, so the additivity theorem does not apply")
-        reports = [s.report(None, red) for s, red in zip(summands, reduced)]
+        reports = [s.report(None) for s in summands]
         return _without_shared_e(f, summands, reports, notes, citations)
 
-    reports = []
-    for s, red in zip(summands, reduced):
-        best = min(s.options) if s.options else None
-        reports.append(s.report(best, red))
+    reports = [s.report(min(s.options, default=None)) for s in summands]
     if e is not None:
         notes.append(f"no common witness exists at the requested e = {e}")
     return _without_shared_e(f, summands, reports, notes, citations)

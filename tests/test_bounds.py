@@ -15,6 +15,7 @@ from apolarity.bounds import (
     upper_bound_from_points,
 )
 from apolarity.errors import (
+    AmbientMismatch,
     DegreeMismatch,
     DuplicatePoint,
     EmptyGeneratorList,
@@ -202,6 +203,13 @@ def test_upper_bound_duplicate_point_rejected():
     h = mono(V2, (1, 1))
     with pytest.raises(DuplicatePoint):
         upper_bound_from_points(h, [(1, 1), (2, 2)])
+
+
+def test_upper_bound_point_length_must_match_variables():
+    h = mono(V2, (1, 1))
+    for points in ([(1, 1, 1)], [(1, 0), (1,)]):
+        with pytest.raises(AmbientMismatch, match="point length"):
+            upper_bound_from_points(h, points)
 
 
 def test_upper_bound_cyclotomic_points():

@@ -88,6 +88,14 @@ def test_certify_exit_codes(capsys):
     assert "status = bounds-only" in out
 
 
+def test_wrong_point_length_is_one_error_line(capsys):
+    want = ("error: linalg.AmbientMismatch: point length does not match "
+            "the variable count\n")
+    for argv in (["ub", "x^2*y", "--points", "1,1,1"],
+                 ["certify", "x^2*y", "--ideal", "X", "--points", "1,1; 1"]):
+        assert go(argv, capsys) == (1, "", want)
+
+
 def test_rank_interval_exit_two(capsys):
     code, out, _ = go(
         ["rank", "x0*(x1^3 + x2^3 + x3^3 + x4^3 + x5^3)"], capsys)

@@ -1,0 +1,108 @@
+"""Byte-level goldens for `rank` and `strassen`, one per family engine.
+
+Each case pins the text answer and the exit code, and the sha256 of the
+--json answer. The values were recorded before `rank` and `strassen` were
+moved onto the shared engine table in `families.analyze`, so they hold the
+two verbs to their earlier output.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from apolarity.cli import run
+
+RANK = [
+    ("x0^2*x1", 0, "rank = 3 (monomial, certified)\n",
+     "d6df7c5a8418132c9b180864df6a15bbed0c57aa7a836f70c5ea684492c04812"),
+    ("(a-b)*(a-c)*(b-c)", 0, "rank = 2 (vandermonde, certified)\n",
+     "20de07a72eeb3df18e127901a76d8d7bd76aa0a030d4cb27d9dcb4e2031b4582"),
+    ("x0^3*(x1^2+x2^2)", 0, "rank = 8 (power-times-sum, certified)\n",
+     "982a21785cc110c411e4a77d9dfdedf7dba7af60a2d64e6c37ccf6093ff9e914"),
+    ("x0^2*(x1^4+x2^4) + x0^6", 2,
+     "7 <= rank <= 8 (power-times-sum, bounds only)\n",
+     "d3071273d5be1953a99808079188715a358b745cd390fb75bed17390431b58da"),
+    ("x*(y^3+2*z^3)", 0, "rank = 6 (power-times-form, certified)\n",
+     "a73b8b9b3607fe9da1b59e0d4071e898bf28415328331f1f45314fbe908cbf51"),
+    ("x^3 + x*y^2 + y^3", 0, "rank = 2 (binary, certified)\n",
+     "d452301b9cb60545554f02c9092610069e1a31930da2752a3f757b75b313e12c"),
+    ("x^2*y+y^2*z+z^2*x", 2, "rank >= 3 (generic, bounds only)\n",
+     "d0739ceb2a75b4d2979d5b5b8057bb3f72f7b9c526e4e306285fca93b47263c1"),
+    ("x0*x1^2*x2^2", 0, "rank = 9 (monomial, certified)\n",
+     "7b18d0207d7987721aa4ad65dbcf3a4357395d2d17a24c22833ef517837ccf16"),
+]
+
+STRASSEN = [
+    ("x0^2*x1 + y0*y1*y2", 0,
+     "block (x0, x1): monomial, rank 3, e options (1)\n"
+     "block (y0, y1, y2): monomial, rank 4, e options (1)\n"
+     "shared e = 1\nverdict: certified\ntotal rank = 7\n",
+     "23dabbef421e648760636c6a47350192894fa7b9d7df85a692aab941a4ccd3d2"),
+    ("(x+y)^3 + (x-y)^3 + z^3", 0,
+     "block (x, y): binary, rank 2, e options (1)\n"
+     "block (z): monomial, rank 1, e options (1, 2)\n"
+     "shared e = 1\nverdict: certified\ntotal rank = 3\n",
+     "fdde44489bdf6e6dc010d311ccc23c62bf4754609c3d04ad8bfcac0615425b9a"),
+    ("x*(y^3+2*z^3) + u^4", 0,
+     "block (x, y, z): power-times-form, rank 6, e options (1)\n"
+     "block (u): monomial, rank 1, e options (1, 2)\n"
+     "shared e = 1\nverdict: certified\ntotal rank = 7\n",
+     "38da1149bc2c9c2aba1b9da0b296650e135a210e740b373713d986737fc1a132"),
+    ("(a-b)*(a-c)*(b-c) + w^3", 0,
+     "block (a, b, c): vandermonde, rank 2, e options (1)\n"
+     "block (w): monomial, rank 1, e options (1, 2)\n"
+     "shared e = 1\nverdict: certified\ntotal rank = 3\n",
+     "9ecb7dc0f4455eaed241cb12b3d4df3624d61076d7de2d09af328d3891424998"),
+    ("x0^2*(x1^4+x2^4) + u^6", 0,
+     "block (x0, x1, x2): power-times-sum, rank 8, e options (1)\n"
+     "block (u): monomial, rank 1, e options (1, 2, 3)\n"
+     "shared e = 1\nverdict: certified\ntotal rank = 9\n",
+     "0bfa03b96d11544b3c14a164c55d25eb13eb4dce406164c4e79c78df6c1eb0ac"),
+    ("x^2*y+y^2*z+z^2*x + u^3", 2,
+     "block (x, y, z): generic, rank unknown, e options ()\n"
+     "block (u): monomial, rank 1, e options (1, 2)\n"
+     "verdict: failed\ninterval = [4, ?]\n"
+     "note: a summand has no certified rank, so the interval ends are sums "
+     "of the individual bounds; the lower end assumes additivity\n"
+     "note: setting the variables of the other summands to zero restricts "
+     "any decomposition, so max_i rk(F_i) = 3 is an unconditional lower "
+     "bound\n",
+     "c78c457f5b34b258b0796837c651d7219738761e2b29f4f231bbd038e0f104e4"),
+    ("x0*x1^2*x2^2 + y^5", 0,
+     "block (x0, x1, x2): monomial, rank 9, e options (1)\n"
+     "block (y): monomial, rank 1, e options (1, 2, 3)\n"
+     "shared e = 1\nverdict: certified\ntotal rank = 10\n",
+     "5c9e94f68298ccce0041876615ac126ee9ddf62e2fb4ce394243d724fdfaef6a"),
+]
+
+
+def go(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("verb,expr,code,text,digest",
+                         [("rank",) + case for case in RANK]
+                         + [("strassen",) + case for case in STRASSEN])
+def test_family_golden(verb, expr, code, text, digest, capsys):
+    got_code, out, err = go([verb, expr], capsys)
+    assert (got_code, out, err) == (code, text, "")
+    got_code, out, err = go([verb, expr, "--json"], capsys)
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rank_nine_monomial_solved_by_rank_cited_by_strassen(capsys):
+    # the solve cap: `rank` always solves monomial points, strassen only
+    # up to rank 8 and cites the decomposition beyond
+    _, out, _ = go(["rank", "x0*x1^2*x2^2", "--json"], capsys)
+    data = json.loads(out)
+    assert data["status"] == "certified-equal"
+    assert len(data["points"]) == 9
+    _, out, _ = go(["strassen", "x0*x1^2*x2^2 + y^5", "--json"], capsys)
+    block = json.loads(out)["summands"][0]["certificate"]
+    assert block["status"] == "cited-upper"
+    assert block["points"] == []
+    assert block["cited_rank"] == 9

@@ -8,11 +8,12 @@ import pytest
 from apolarity.errors import (DegreeMismatch, EmptyGeneratorList,
                               EOutOfRange, FieldMismatch, MixedDegrees,
                               ZeroForm)
-from apolarity.families import build_vandermonde, build_xa_sum_b, sylvester
+from apolarity.families import (ENGINES, FamilyMatch, build_vandermonde,
+                                build_xa_sum_b)
 from apolarity.fields import QQ
 from apolarity.poly import Poly, VarSet, embed_in_varset
 from apolarity.strassen import (OPEN_PAIRING_QUESTION, lemma52_hf_check,
-                                strassen_rank, _binary_e_options)
+                                strassen_rank)
 
 
 def mono(varset, exps, coeff=1):
@@ -151,11 +152,12 @@ def test_binary_e_option_search():
         (mono(V, (3, 0)) + mono(V, (0, 3)), 2, "x0 - x1"),
     ]
     for f, rank, t_str in cases:
-        syl = sylvester(f)
-        options = _binary_e_options(f, syl)
+        # the first two are monomials, so the Binary engine is run directly
+        found = ENGINES["Binary"](f, FamilyMatch("Binary", {}, ""), 0, 1, None)
+        _, options = found.block()
         assert 1 in options
         assert str(options[1][1]) == t_str
-        assert syl.rank == rank
+        assert found.rank == rank
 
 
 def test_vandermonde_block_is_recognized_before_reduction():
