@@ -5,7 +5,12 @@ held as canonical subspaces of each degree piece. The default truncation is
 deg F + 1: every ideal handled here contains the annihilator of some form
 (or is a point ideal), so all slices beyond the socle are full and carry no
 information. Building runs in ascending degree, and once a slice fills the
-whole degree piece every later slice is full by ideal closure.
+whole degree piece every later slice is full by ideal closure. Full slices
+are implicit (Subspace.full stores no rows), so they cost nothing to build,
+copy, lift or test against.
+
+Catalecticants, point evaluations and polynomial vectors are built as raw
+rows (NumberField.to_raw) and handed to elimination as they are.
 
 Groebner machinery is deliberately absent; degreewise exact linear algebra
 decides everything needed.
@@ -14,7 +19,6 @@ decides everything needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -47,35 +51,27 @@ def _shift_map(nvars: int, degree: int, alpha: Exps) -> tuple[int, ...]:
     )
 
 
-def _raw_zero(field: NumberField):
-    return Fraction(0) if field.degree == 1 else field.zero.coords
-
-
 def _poly_raw_vector(f: Poly, degree: int) -> list:
-    vec = [_raw_zero(f.field)] * space_dim(len(f.varset), degree)
+    field = f.field
+    vec = [field.raw_zero] * space_dim(len(f.varset), degree)
     index = _basis_index(len(f.varset), degree)
     for exps, c in f.terms.items():
         if sum(exps) != degree:
             raise NonHomogeneous("vectorization needs a single degree")
-        vec[index[exps]] = c.coords[0] if f.field.degree == 1 else c.coords
+        vec[index[exps]] = field.to_raw(c)
     return vec
 
 
 def _raw_vector_poly(varset: VarSet, field: NumberField, degree: int, row) -> Poly:
-    basis = monomial_basis(len(varset), degree)
-    terms = {}
-    for exps, v in zip(basis, row):
-        c = FieldElement(field, (v,)) if field.degree == 1 else FieldElement(field, v)
-        if c:
-            terms[exps] = c
-    return Poly(varset, terms, field)
+    return Poly.from_vector(varset, degree, [field.from_raw(v) for v in row],
+                            field)
 
 
 def _shift_raw_row(field: NumberField, row, nvars: int, degree: int,
                    t_terms: list[tuple[Exps, object]]) -> list:
     """Multiply the degree-`degree` coefficient row by the form with raw terms."""
     e = sum(t_terms[0][0])
-    out = [_raw_zero(field)] * space_dim(nvars, degree + e)
+    out = [field.raw_zero] * space_dim(nvars, degree + e)
     rational = field.degree == 1
     for alpha, c in t_terms:
         mp = _shift_map(nvars, degree, alpha)
@@ -91,10 +87,26 @@ def _shift_raw_row(field: NumberField, row, nvars: int, degree: int,
     return out
 
 
+def _times_variables(field: NumberField, row, nvars: int, degree: int):
+    """The products x_k * row, k = 0 .. nvars-1, one at a time."""
+    for k in range(nvars):
+        alpha = tuple(1 if j == k else 0 for j in range(nvars))
+        yield _shift_raw_row(field, row, nvars, degree, [(alpha, field.raw_one)])
+
+
+def _insert_times_linear(out: Subspace, s: Subspace, nvars: int,
+                         degree: int) -> None:
+    """Insert T_1 * s into out, for a slice s of the given degree, until
+    out is full."""
+    for row in s.rows:
+        for v in _times_variables(s.field, row, nvars, degree):
+            out.insert_raw(v)
+            if out.is_full():
+                return
+
+
 def _poly_raw_terms(t: Poly) -> list[tuple[Exps, object]]:
-    rational = t.field.degree == 1
-    return [(exps, c.coords[0] if rational else c.coords)
-            for exps, c in t.terms.items()]
+    return [(exps, t.field.to_raw(c)) for exps, c in t.terms.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +139,11 @@ def catalecticant(f: Poly, i: int) -> Catalecticant:
     row_index = _basis_index(n, d - i)
     field = f.field
     rational = field.degree == 1
-    zero = _raw_zero(field)
-    entries = [[zero] * len(cols) for _ in range(space_dim(n, d - i))]
+    entries = [[field.raw_zero] * len(cols) for _ in range(space_dim(n, d - i))]
+    terms = _poly_raw_terms(f)
+    # each (row, column) cell is reached by at most one term of F
     for j, alpha in enumerate(cols):
-        for beta, c in f.terms.items():
+        for beta, c in terms:
             scale = 1
             ok = True
             for a, b in zip(alpha, beta):
@@ -142,16 +155,9 @@ def catalecticant(f: Poly, i: int) -> Catalecticant:
             if not ok:
                 continue
             gamma = tuple(b - a for a, b in zip(alpha, beta))
-            r = row_index[gamma]
-            if rational:
-                entries[r][j] += c.coords[0] * scale
-            else:
-                entries[r][j] = field.add_coords(
-                    entries[r][j],
-                    tuple(x * scale for x in c.coords))
-    wrapped = [[FieldElement(field, (v,)) if rational else FieldElement(field, v)
-                for v in row] for row in entries]
-    return Catalecticant(f, i, Matrix(field, len(entries), len(cols), wrapped))
+            entries[row_index[gamma]][j] = (
+                c * scale if rational else tuple(x * scale for x in c))
+    return Catalecticant(f, i, Matrix(field, len(entries), len(cols), entries))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +216,9 @@ class GradedIdeal:
         if not self.field.is_rationals():
             raise FieldMismatch("can only lift a rational-coefficient ideal")
         out = []
-        for i, s in enumerate(self.slices):
-            rows = [[field.from_rational(v).coords for v in row] for row in s.rows]
+        for s in self.slices:
+            rows = None if s.is_full() else [
+                [field.raw_rational(v) for v in row] for row in s.rows]
             out.append(Subspace(field, s.ambient, rows, list(s.pivots)))
         return GradedIdeal(self.varset, field, self.D, out)
 
@@ -220,14 +227,12 @@ class GradedIdeal:
         n = len(self.varset)
         for i in range(self.D):
             nxt = self.slices[i + 1]
-            if nxt.is_full() or not self.slices[i].rows:
+            if nxt.is_full() or not self.slices[i].dim:
                 continue
             for row in self.slices[i].rows:
-                for k in range(n):
-                    alpha = tuple(1 if j == k else 0 for j in range(n))
-                    shifted = _shift_raw_row(self.field, row, n, i, [(alpha, _one_raw(self.field))])
-                    if not nxt.contains_raw(shifted):
-                        return False
+                if not all(nxt.contains_raw(v) for v in
+                           _times_variables(self.field, row, n, i)):
+                    return False
         return True
 
     def __eq__(self, other):
@@ -238,10 +243,6 @@ class GradedIdeal:
     def __repr__(self):
         dims = tuple(s.dim for s in self.slices)
         return f"GradedIdeal(D={self.D}, dims={dims})"
-
-
-def _one_raw(field: NumberField):
-    return Fraction(1) if field.degree == 1 else field.one.coords
 
 
 def perp(f: Poly, D: int | None = None) -> GradedIdeal:
@@ -280,24 +281,14 @@ def ideal_from_generators(varset: VarSet, gens: Sequence[Poly], D: int,
             raise FieldMismatch("generator over a different field")
         by_degree.setdefault(g.degree(), []).append(g)
     slices: list[Subspace] = []
-    shift_terms = [
-        [(tuple(1 if j == k else 0 for j in range(n)), _one_raw(field))]
-        for k in range(n)
-    ]
     for i in range(D + 1):
         amb = space_dim(n, i)
         if i > 0 and slices[i - 1].is_full():
             slices.append(Subspace.full(amb, field))
             continue
         cur = Subspace.zero(amb, field)
-        if i > 0:
-            for row in slices[i - 1].rows:
-                for terms in shift_terms:
-                    cur.insert_raw(_shift_raw_row(field, row, n, i - 1, terms))
-                    if cur.is_full():
-                        break
-                if cur.is_full():
-                    break
+        if i:
+            _insert_times_linear(cur, slices[i - 1], n, i - 1)
         for g in by_degree.get(i, []):
             if not cur.is_full():
                 cur.insert_raw(_poly_raw_vector(g, i))
@@ -394,7 +385,7 @@ def add_principal(ideal: GradedIdeal, t: Poly) -> GradedIdeal:
             for m in monomial_basis(n, i - e):
                 row = _shift_raw_row(
                     field,
-                    [_one_raw(field)],
+                    [field.raw_one],
                     n, 0,
                     [(tuple(a + b for a, b in zip(alpha, m)), c)
                      for alpha, c in t_terms],
@@ -408,38 +399,29 @@ def add_principal(ideal: GradedIdeal, t: Poly) -> GradedIdeal:
 
 def _sum_with_unit_columns(base: Subspace, cols: list[int],
                            field: NumberField) -> Subspace:
-    """base + span{e_k : k in cols}, assembled directly in canonical form."""
+    """base + span{e_k : k in cols}, assembled directly in canonical form.
+
+    Reducing base off the columns in cols leaves rows that vanish there, so
+    those rows and the unit vectors, sorted by pivot, are already canonical.
+    """
     amb = base.ambient
     colset = set(cols)
     keep = [j for j in range(amb) if j not in colset]
-    zero = Fraction(0) if field.degree == 1 else field.zero.coords
-    one = Fraction(1) if field.degree == 1 else field.one.coords
     projected = [[row[j] for j in keep] for row in base.rows]
     reduced = Subspace.from_raw_vectors(projected, len(keep), field)
-    rows = []
-    pivots = []
-    unit_iter = iter(cols)
-    next_unit = next(unit_iter, None)
+    if reduced.is_full():
+        return Subspace.full(amb, field)
+    by_pivot = {}
+    for k in cols:
+        by_pivot[k] = [field.raw_zero] * amb
+        by_pivot[k][k] = field.raw_one
     for row, p in zip(reduced.rows, reduced.pivots):
-        full_pivot = keep[p]
-        while next_unit is not None and next_unit < full_pivot:
-            unit_row = [zero] * amb
-            unit_row[next_unit] = one
-            rows.append(unit_row)
-            pivots.append(next_unit)
-            next_unit = next(unit_iter, None)
-        full_row = [zero] * amb
+        full_row = [field.raw_zero] * amb
         for j, v in zip(keep, row):
             full_row[j] = v
-        rows.append(full_row)
-        pivots.append(full_pivot)
-    while next_unit is not None:
-        unit_row = [zero] * amb
-        unit_row[next_unit] = one
-        rows.append(unit_row)
-        pivots.append(next_unit)
-        next_unit = next(unit_iter, None)
-    return Subspace(field, amb, rows, pivots)
+        by_pivot[keep[p]] = full_row
+    pivots = sorted(by_pivot)
+    return Subspace(field, amb, [by_pivot[p] for p in pivots], pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +496,6 @@ def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
             raise DuplicatePoint(f"point ({', '.join(str(v) for v in q)}) repeats")
         seen.add(key)
         norm.append(q)
-    rational = field.degree == 1
     slices = []
     for i in range(D + 1):
         basis = monomial_basis(n, i)
@@ -526,12 +507,9 @@ def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
                 for v, e in zip(q, exps):
                     if e:
                         acc = acc * (v ** e)
-                row.append(acc.coords[0] if rational else acc.coords)
+                row.append(field.to_raw(acc))
             rows.append(row)
-        mat = Matrix(field, len(rows), len(basis),
-                     [[FieldElement(field, (v,)) if rational else FieldElement(field, v)
-                       for v in row] for row in rows])
-        slices.append(kernel(mat))
+        slices.append(kernel(Matrix(field, len(rows), len(basis), rows)))
     return GradedIdeal(varset, field, D, slices)
 
 
@@ -553,28 +531,20 @@ def minimal_generators(ideal: GradedIdeal) -> list[Poly]:
     """A deterministic minimal generating set read off the graded slices.
 
     In each degree the canonical basis rows that survive modulo
-    T_1 * (previous slice) are kept, in basis order.
+    T_1 * (previous slice) are kept, in basis order. Past a full slice
+    there is nothing to keep, since T_1 * T_(i-1) = T_i.
     """
     n = len(ideal.varset)
     field = ideal.field
     gens: list[Poly] = []
-    shift_terms = [
-        [(tuple(1 if j == k else 0 for j in range(n)), _one_raw(field))]
-        for k in range(n)
-    ]
     for i in range(ideal.D + 1):
         cur = ideal.slices[i]
-        if not cur.rows:
+        if not cur.dim or i > 0 and ideal.slices[i - 1].is_full():
             continue
+        # the previous degree's grown is released before this one is built
         grown = Subspace.zero(cur.ambient, field)
-        if i > 0 and ideal.slices[i - 1].rows:
-            for row in ideal.slices[i - 1].rows:
-                for terms in shift_terms:
-                    grown.insert_raw(_shift_raw_row(field, row, n, i - 1, terms))
-                    if grown.is_full():
-                        break
-                if grown.is_full():
-                    break
+        if i:
+            _insert_times_linear(grown, ideal.slices[i - 1], n, i - 1)
         if grown.is_full():
             continue
         for row in cur.rows:

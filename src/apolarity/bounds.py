@@ -256,10 +256,10 @@ def upper_bound_from_points(f: Poly, points,
         seen.add(key)
         norm.append(q)
     powers = [power_of_linear(linear_form(f.varset, p, fld), d) for p in norm]
-    cols = [g.to_vector(d) for g in powers]
+    cols = [_poly_raw_vector(g, d) for g in powers]
     amb = space_dim(len(f.varset), d)
-    mat = Matrix(fld, amb, len(norm),
-                 [[cols[j][r] for j in range(len(norm))] for r in range(amb)])
+    mat = Matrix(fld, amb, len(norm), [[col[r] for col in cols]
+                                       for r in range(amb)])
     sol = solve(mat, fl.to_vector(d))
     if sol is None:
         return None
@@ -369,14 +369,14 @@ class ChangeOfBasis:
 
 def _invert_rows(rows, field: NumberField):
     n = len(rows)
-    aug = [[rows[i][j] for j in range(n)]
-           + [field.one if i == j else field.zero for j in range(n)]
-           for i in range(n)]
+    one, zero = field.raw_one, field.raw_zero
+    aug = [[field.to_raw(v) for v in row] + [one if i == j else zero
+                                             for j in range(n)]
+           for i, row in enumerate(rows)]
     red, pivots = rref(Matrix(field, n, 2 * n, aug))
-    if tuple(pivots) != tuple(range(n)):
+    if pivots != tuple(range(n)):
         raise ArithmeticError("basis matrix is singular")
-    return tuple(tuple(red.rows[i][n + j] for j in range(n))
-                 for i in range(n))
+    return tuple(tuple(row[n:]) for row in red.vectors())
 
 
 def essential_vars(f: Poly) -> tuple[ChangeOfBasis, Poly]:
@@ -398,13 +398,9 @@ def essential_vars(f: Poly) -> tuple[ChangeOfBasis, Poly]:
         return ChangeOfBasis(f.varset, fld, ident, ident, 0), f
     pivset = set(ker.pivots)
     frees = [j for j in range(n) if j not in pivset]
-    rows = []
-    for j in frees:
-        rows.append(tuple(fld.one if k == j else fld.zero for k in range(n)))
-    wrap = (lambda v: FieldElement(fld, (v,))) if fld.degree == 1 \
-        else (lambda v: FieldElement(fld, v))
-    for row in ker.rows:
-        rows.append(tuple(wrap(v) for v in row))
+    rows = [tuple(fld.one if k == j else fld.zero for k in range(n))
+            for j in frees]
+    rows += [tuple(vec) for vec in ker.vectors()]
     forward = tuple(rows)
     inverse = _invert_rows(forward, fld)
     change = ChangeOfBasis(f.varset, fld, forward, inverse, s)

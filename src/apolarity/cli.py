@@ -3,7 +3,8 @@
 One verb per invocation; every verb accepts --json for the structured
 report and prints aligned text otherwise. Exit codes: 0 for success or a
 certified result, 2 for bounds-only or conditional results, 3 for refuted
-or refused checks, 1 for usage and input errors. Output carries no color
+or refused checks, 1 for usage and input errors, 4 for a failed internal
+self-check (an ArithmeticError, reported as one line). Output carries no color
 codes, so NO_COLOR needs no special handling. `rank` renders the record of
 families.analyze without looking at the family tag.
 """
@@ -393,6 +394,9 @@ def run(argv) -> int:
         origin = ERROR_ORIGIN.get(name, "apolarity")
         print(f"error: {origin}.{name}: {err}", file=sys.stderr)
         return 1
+    except ArithmeticError as err:
+        print(f"error: internal.{type(err).__name__}: {err}", file=sys.stderr)
+        return 4
     except SystemExit as ex:
         return 0 if ex.code in (0, None) else 1
 

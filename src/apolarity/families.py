@@ -42,7 +42,8 @@ from .errors import (
 )
 from .fields import (QQ, cyclotomic_field, root_of_unity, squarefree_check,
                      squarefree_decomposition, uni_degree, uni_eval, uni_trim)
-from .poly import Poly, VarSet, apolar_action, restrict_to_vars
+from .poly import (Poly, VarSet, apolar_action, embed_in_varset,
+                   restrict_to_vars)
 
 MONOMIAL_CITATION = (
     "rk(x0^a0*...*xn^an) = prod_{i>=1}(a_i+1) when 0 < a0 <= a_i for all i; "
@@ -781,8 +782,14 @@ def _xa_sum_b_engine(f, match, seed, e, solve_cap):
     cert = _block_certificate(f, res, res.citations[0])
     options = {}
     if res.rank is not None and res.regime != "open":
-        # only these regimes carry an engine witness reaching the rank
-        options[1] = (res.lower.gens, res.lower.t)
+        # only these regimes carry an engine witness reaching the rank; it
+        # lives on build_xa_sum_b's ring, whose x0 is the pivot of F and
+        # whose x1..xn are F's other variables in order
+        pivot = match.parameters["pivot"]
+        index_map = [pivot] + [i for i in f.support_vars() if i != pivot]
+        gens = tuple(embed_in_varset(g, f.varset, index_map)
+                     for g in res.lower.gens)
+        options[1] = (gens, embed_in_varset(res.lower.t, f.varset, index_map))
     return FamilyAnalysis(match.tag, res.interval, res, res.citations,
                           lambda: (cert, options))
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .errors import InvalidExtension, NotInvertible, ZeroForm, ZeroInversion
+from .errors import (FieldMismatch, InvalidExtension, NotInvertible, ZeroForm,
+                     ZeroInversion)
 
 Rational = Fraction
 UniPoly = tuple[Fraction, ...]
@@ -214,9 +215,14 @@ class NumberField:
     Elements are handled as coordinate tuples internally; FieldElement is the
     user-facing wrapper. The modulus need not be irreducible: a zero divisor
     is only detected (and reported with its factor) when inverted.
+
+    Matrices, subspaces and polynomial vectors hold raw scalars: a Fraction
+    over a degree-1 field, the coordinate tuple otherwise. This class alone
+    decides that format (raw_zero, raw_one, raw_rational, to_raw, from_raw).
     """
 
-    __slots__ = ("name", "minpoly", "degree", "_zpows", "_key")
+    __slots__ = ("name", "minpoly", "degree", "_zpows", "_key",
+                 "raw_zero", "raw_one")
 
     def __init__(self, name, minpoly: Sequence):
         p = uni_trim(minpoly)
@@ -245,6 +251,8 @@ class NumberField:
             cur = tuple(shifted)
             zpows.append(cur)
         self._zpows = zpows
+        self.raw_zero = self.raw_rational(0)
+        self.raw_one = self.raw_rational(1)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self._key == other._key
@@ -285,6 +293,25 @@ class NumberField:
         if self.degree == 1:
             return self.element((-self.minpoly[0],))
         return self.element((0, 1))
+
+    # -- raw scalars
+
+    def raw_rational(self, value):
+        c = as_fraction(value)
+        if self.degree == 1:
+            return c
+        return (c,) + (Fraction(0),) * (self.degree - 1)
+
+    def to_raw(self, value: "FieldElement"):
+        if value.field is not self and value.field != self:
+            raise FieldMismatch("entry from a different field")
+        return value.coords[0] if self.degree == 1 else value.coords
+
+    def from_raw(self, raw) -> "FieldElement":
+        return FieldElement(self, (raw,) if self.degree == 1 else raw)
+
+    def neg_raw(self, raw):
+        return -raw if self.degree == 1 else self.neg_coords(raw)
 
     # -- coordinate arithmetic
 

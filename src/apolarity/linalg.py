@@ -1,10 +1,18 @@
 """Exact linear algebra: canonical reduced row echelon subspaces and kernels.
 
+Matrices and subspaces hold raw rows: lists of raw scalars in the format
+NumberField fixes (a Fraction over a degree-1 field, a coordinate tuple
+otherwise), so values go from a polynomial to elimination without a
+FieldElement in between. Matrix.from_rows and the vectors() views are the
+only FieldElement boundaries.
+
 Over the rationals, batch elimination is fraction-free (Bareiss-Jordan on
 integer rows, exact divisions checked), which keeps intermediate entries as
 minors instead of exploding fractions. Over extensions a plain Gauss-Jordan
 runs on coordinate vectors. Every subspace is stored as the unique reduced
 row echelon basis with pivot 1, so equal subspaces compare equal rowwise.
+A full subspace stores no rows at all: its basis is the identity, which is
+built only when a caller reads .rows.
 
 Pivoting always selects the first usable column, and kernels are emitted
 directly in canonical form by eliminating with the column order reversed.
@@ -25,27 +33,16 @@ eliminate exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch
 from .fields import QQ, FieldElement, NumberField
 from .modular import UNDECIDED, cyclotomic_index, solve_cyclotomic
 
-F0 = Fraction(0)
-F1 = Fraction(1)
 
-
-def _unwrap(field: NumberField, value: FieldElement):
-    if value.field != field:
-        raise FieldMismatch("entry from a different field")
-    return value.coords[0] if field.degree == 1 else value.coords
-
-
-def _wrap(field: NumberField, raw) -> FieldElement:
-    if field.degree == 1:
-        return FieldElement(field, (raw,))
-    return FieldElement(field, raw)
+def _elements(field: NumberField, rows) -> list[list[FieldElement]]:
+    return [[field.from_raw(v) for v in row] for row in rows]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -59,14 +56,9 @@ def _rref_q(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]
     """Canonical RREF over QQ via integer Bareiss-Jordan elimination."""
     mat: list[list[int]] = []
     for row in rows:
-        den = 1
-        for c in row:
-            d = c.denominator
-            den = den * d // gcd(den, d)
-        ints = [int(c * den) for c in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        den = lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (den // c.denominator) for c in row]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         mat.append(ints)
@@ -137,7 +129,8 @@ def _rref_ext(rows: list[list[tuple]], field: NumberField
 
 
 class Matrix:
-    """Dense exact matrix; rows of FieldElement entries over one field."""
+    """Dense exact matrix over one field, held as raw rows; vectors() gives
+    FieldElement rows."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -151,6 +144,7 @@ class Matrix:
     def from_rows(cls, rows: Sequence[Sequence[FieldElement]],
                   field: NumberField | None = None, ncols: int | None = None
                   ) -> "Matrix":
+        """A matrix from FieldElement rows, all over one field."""
         rows = [list(r) for r in rows]
         if rows:
             field = field or rows[0][0].field
@@ -160,13 +154,11 @@ class Matrix:
                     raise AmbientMismatch("ragged matrix rows")
         elif field is None or ncols is None:
             raise AmbientMismatch("an empty matrix needs explicit field and ncols")
-        return cls(field, len(rows), ncols, rows)
+        return cls(field, len(rows), ncols,
+                   [[field.to_raw(v) for v in r] for r in rows])
 
-    def raw_rows(self):
-        return [[_unwrap(self.field, v) for v in row] for row in self.rows]
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.rows[i][j]
+    def vectors(self) -> list[list[FieldElement]]:
+        return _elements(self.field, self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -185,30 +177,31 @@ def _batch_rref(raw_rows, field: NumberField):
 
 def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form (zero rows dropped) and its pivot columns."""
-    rows, pivots = _batch_rref(matrix.raw_rows(), matrix.field)
-    wrapped = [[_wrap(matrix.field, v) for v in row] for row in rows]
-    return (Matrix(matrix.field, len(wrapped), matrix.ncols, wrapped),
-            tuple(pivots))
+    rows, pivots = _batch_rref(matrix.rows, matrix.field)
+    return Matrix(matrix.field, len(rows), matrix.ncols, rows), tuple(pivots)
 
 
 def matrix_rank(matrix: Matrix) -> int:
-    return len(_batch_rref(matrix.raw_rows(), matrix.field)[1])
+    return len(_batch_rref(matrix.rows, matrix.field)[1])
 
 
 class Subspace:
     """A linear subspace held as its canonical reduced row echelon basis.
 
-    Rows are stored unwrapped (Fraction over QQ, coordinate tuples over an
-    extension); use vectors() for FieldElement views. Equality is rowwise
-    equality of the canonical bases.
+    Rows are raw (see NumberField.to_raw); use vectors() for FieldElement
+    views. A full subspace keeps no rows: its basis is the identity, built
+    afresh whenever .rows is read. Equality is rowwise equality of the
+    canonical bases.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "_rows", "pivots")
 
     def __init__(self, field: NumberField, ambient: int, rows, pivots):
         self.field = field
         self.ambient = ambient
-        self.rows = rows
+        if len(pivots) == ambient:
+            rows, pivots = None, range(ambient)
+        self._rows = rows
         self.pivots = pivots
 
     # -- constructors
@@ -219,15 +212,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int, field: NumberField = QQ) -> "Subspace":
-        if field.degree == 1:
-            rows = [[F1 if j == i else F0 for j in range(ambient)]
-                    for i in range(ambient)]
-        else:
-            one = field.one.coords
-            zero = field.zero.coords
-            rows = [[one if j == i else zero for j in range(ambient)]
-                    for i in range(ambient)]
-        return cls(field, ambient, rows, list(range(ambient)))
+        return cls(field, ambient, None, range(ambient))
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence[FieldElement]],
@@ -236,7 +221,7 @@ class Subspace:
         for vec in vectors:
             if len(vec) != ambient:
                 raise AmbientMismatch("vector length does not match the ambient")
-            raw.append([_unwrap(field, v) for v in vec])
+            raw.append([field.to_raw(v) for v in vec])
         rows, pivots = _batch_rref(raw, field)
         return cls(field, ambient, rows, pivots)
 
@@ -249,22 +234,32 @@ class Subspace:
     # -- views
 
     @property
+    def rows(self) -> list:
+        if self._rows is not None:
+            return self._rows
+        one, zero = self.field.raw_one, self.field.raw_zero
+        n = self.ambient
+        return [[one if j == i else zero for j in range(n)] for i in range(n)]
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.ambient if self._rows is None else len(self._rows)
 
     def is_full(self) -> bool:
-        return len(self.rows) == self.ambient
+        return self._rows is None
 
     def vectors(self) -> list[list[FieldElement]]:
-        return [[_wrap(self.field, v) for v in row] for row in self.rows]
+        return _elements(self.field, self.rows)
 
     def copy(self) -> "Subspace":
+        if self._rows is None:
+            return Subspace.full(self.ambient, self.field)
         return Subspace(self.field, self.ambient,
-                        [list(r) for r in self.rows], list(self.pivots))
+                        [list(r) for r in self._rows], list(self.pivots))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient == other.ambient and self.rows == other.rows)
+                and self.ambient == other.ambient and self._rows == other._rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
@@ -274,13 +269,13 @@ class Subspace:
     def _reduce_raw(self, vec: list) -> list:
         field = self.field
         if field.degree == 1:
-            for row, p in zip(self.rows, self.pivots):
+            for row, p in zip(self._rows, self.pivots):
                 f = vec[p]
                 if f:
                     vec = [a - f * b for a, b in zip(vec, row)]
         else:
             mul, sub, is_zero = field.mul_coords, field.sub_coords, field.is_zero_coords
-            for row, p in zip(self.rows, self.pivots):
+            for row, p in zip(self._rows, self.pivots):
                 f = vec[p]
                 if not is_zero(f):
                     vec = [sub(a, mul(f, b)) for a, b in zip(vec, row)]
@@ -288,7 +283,10 @@ class Subspace:
 
     def insert_raw(self, vec: list) -> bool:
         """Add one vector, keeping canonical form; True if the dim grew."""
+        if self._rows is None:
+            return False
         field = self.field
+        rows = self._rows
         vec = self._reduce_raw(list(vec))
         if field.degree == 1:
             lead = next((j for j, v in enumerate(vec) if v), None)
@@ -296,10 +294,10 @@ class Subspace:
                 return False
             inv = 1 / vec[lead]
             vec = [v * inv for v in vec]
-            for i, row in enumerate(self.rows):
+            for i, row in enumerate(rows):
                 f = row[lead]
                 if f:
-                    self.rows[i] = [a - f * b for a, b in zip(row, vec)]
+                    rows[i] = [a - f * b for a, b in zip(row, vec)]
         else:
             is_zero = field.is_zero_coords
             lead = next((j for j, v in enumerate(vec) if not is_zero(v)), None)
@@ -308,31 +306,29 @@ class Subspace:
             inv = field.inv_coords(vec[lead])
             mul, sub = field.mul_coords, field.sub_coords
             vec = [mul(inv, v) for v in vec]
-            for i, row in enumerate(self.rows):
+            for i, row in enumerate(rows):
                 f = row[lead]
                 if not is_zero(f):
-                    self.rows[i] = [sub(a, mul(f, b)) for a, b in zip(row, vec)]
+                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(row, vec)]
         at = next((i for i, p in enumerate(self.pivots) if p > lead),
                   len(self.pivots))
-        self.rows.insert(at, vec)
+        rows.insert(at, vec)
         self.pivots.insert(at, lead)
+        if len(rows) == self.ambient:
+            self._rows, self.pivots = None, range(self.ambient)
         return True
 
     def contains_raw(self, vec: list) -> bool:
-        field = self.field
-        vec = self._reduce_raw(list(vec))
-        if field.degree == 1:
-            return all(v == 0 for v in vec)
-        return all(field.is_zero_coords(v) for v in vec)
-
-    def contains_vector(self, vec: Sequence[FieldElement]) -> bool:
-        if len(vec) != self.ambient:
-            raise AmbientMismatch("vector length does not match the ambient")
-        return self.contains_raw([_unwrap(self.field, v) for v in vec])
+        if self._rows is None:
+            return True
+        zero = self.field.raw_zero
+        return all(v == zero for v in self._reduce_raw(list(vec)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains_raw(row) for row in other.rows)
+        if other._rows is None:
+            return self._rows is None
+        return all(self.contains_raw(row) for row in other._rows)
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -349,13 +345,11 @@ def kernel(matrix: Matrix) -> Subspace:
     """
     field = matrix.field
     n = matrix.ncols
-    raw = [[row[j] for j in range(n - 1, -1, -1)]
-           for row in matrix.raw_rows()]
-    rows, pivots = _batch_rref(raw, field)
+    rows, pivots = _batch_rref([row[::-1] for row in matrix.rows], field)
+    if not pivots:
+        return Subspace.full(n, field)
     pivot_set = set(pivots)
-    zero = F0 if field.degree == 1 else field.zero.coords
-    one = F1 if field.degree == 1 else field.one.coords
-    neg = (lambda v: -v) if field.degree == 1 else field.neg_coords
+    zero, one = field.raw_zero, field.raw_one
     basis = []
     basis_pivots = []
     for f in range(n - 1, -1, -1):
@@ -365,8 +359,8 @@ def kernel(matrix: Matrix) -> Subspace:
         vec[n - 1 - f] = one
         for row, p in zip(rows, pivots):
             val = row[f]
-            if (val != 0 if field.degree == 1 else not field.is_zero_coords(val)):
-                vec[n - 1 - p] = neg(val)
+            if val != zero:
+                vec[n - 1 - p] = field.neg_raw(val)
         basis.append(vec)
         basis_pivots.append(n - 1 - f)
     return Subspace(field, n, basis, basis_pivots)
@@ -376,9 +370,9 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Smallest subspace containing both; canonical like every Subspace."""
     a._check(b)
     big, small = (a, b) if a.dim >= b.dim else (b, a)
-    if big.is_full():
-        return big.copy()
     out = big.copy()
+    if out.is_full():
+        return out
     for row in small.rows:
         out.insert_raw(list(row))
         if out.is_full():
@@ -395,9 +389,8 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         return a.copy()
     field = a.field
     n = a.ambient
-    zero = F0 if field.degree == 1 else field.zero.coords
     stacked = [list(row) + list(row) for row in a.rows]
-    stacked += [list(row) + [zero] * n for row in b.rows]
+    stacked += [list(row) + [field.raw_zero] * n for row in b.rows]
     rows, pivots = _batch_rref(stacked, field)
     inter = []
     for row, p in zip(rows, pivots):
@@ -419,18 +412,17 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | N
     field = matrix.field
     if len(rhs) != matrix.nrows:
         raise AmbientMismatch("right-hand side length does not match the rows")
-    aug = [row + [_unwrap(field, v)] for row, v in zip(matrix.raw_rows(), rhs)]
+    aug = [row + [field.to_raw(v)] for row, v in zip(matrix.rows, rhs)]
     n = matrix.ncols
     m = cyclotomic_index(field.minpoly)
     if m is not None and 0 < n <= len(aug):
         found = solve_cyclotomic(aug, n, m)
         if found is not UNDECIDED:
-            return None if found is None else [_wrap(field, v) for v in found]
+            return None if found is None else [field.from_raw(v) for v in found]
     rows, pivots = _batch_rref(aug, field) if aug else ([], [])
     if any(p == n for p in pivots):
         return None
-    zero = F0 if field.degree == 1 else field.zero.coords
-    x = [zero] * n
+    x = [field.raw_zero] * n
     for row, p in zip(rows, pivots):
         x[p] = row[n]
-    return [_wrap(field, v) for v in x]
+    return [field.from_raw(v) for v in x]

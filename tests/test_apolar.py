@@ -62,12 +62,13 @@ def test_catalecticant_matches_contraction_oracle():
         d = f.degree()
         for i in range(d + 1):
             cat = catalecticant(f, i)
+            entries = cat.matrix.vectors()
             cols = monomial_basis(3, i)
             for j, alpha in enumerate(cols):
                 g = apolar_action(mono(V3, alpha), f)
                 vec = g.to_vector(d - i)
                 for r in range(cat.matrix.nrows):
-                    assert cat.matrix.entry(r, j) == vec[r]
+                    assert entries[r][j] == vec[r]
 
 
 def test_catalecticant_rank_equals_hf():

@@ -230,3 +230,52 @@ def test_no_verb_prints_help(capsys):
     code, out, _ = go([], capsys)
     assert code == 1
     assert "usage" in out.lower()
+
+
+def _renamed(value, names):
+    """Every string in a report with canonical names x0.. replaced, except
+    the fixed citation texts."""
+    import re
+
+    if isinstance(value, str):
+        return re.sub(r"\bx(\d)\b", lambda m: names[int(m.group(1))], value)
+    if isinstance(value, list):
+        return [_renamed(v, names) for v in value]
+    if isinstance(value, dict):
+        return {k: v if k in ("citation", "citations") else _renamed(v, names)
+                for k, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("form, canonical, names", [
+    ("x*(y^2+z^2) + u^3", "x0*(x1^2+x2^2) + x3^3", "xyzu"),
+    # the pivot y is canonical x0; x and z are x1 and x2 in order
+    ("x^2*y + y*z^2 + u^3", "x1^2*x0 + x0*x2^2 + x3^3", "yxzu"),
+])
+def test_strassen_xa_sum_b_block_with_its_own_names(capsys, form, canonical,
+                                                    names):
+    code, out, err = go(["strassen", form], capsys)
+    want = go(["strassen", canonical], capsys)
+    assert (code, err) == (want[0], want[2]) == (0, "")
+    assert out == _renamed(want[1], names)
+    assert "total rank = 5" in out
+    code, out, _ = go(["strassen", form, "--json"], capsys)
+    want = go(["strassen", canonical, "--json"], capsys)
+    assert code == want[0] == 0
+    got = json.loads(out)
+    assert got == _renamed(json.loads(want[1]), names)
+    assert got["summands"][0]["certificate"]["t"] == names[0]
+
+
+def test_internal_self_check_is_one_error_line(capsys, monkeypatch):
+    from apolarity import families
+
+    def broken(*args):
+        raise ArithmeticError("colon profile disagreed with the table")
+
+    monkeypatch.setitem(families.ENGINES, "Monomial", broken)
+    code, out, err = go(["rank", "x0*x1^2"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == ("error: internal.ArithmeticError: "
+                   "colon profile disagreed with the table\n")

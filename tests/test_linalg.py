@@ -5,7 +5,7 @@ import pytest
 from conftest import naive_rref
 
 from apolarity import modular
-from apolarity.errors import AmbientMismatch, NotInvertible
+from apolarity.errors import AmbientMismatch, FieldMismatch, NotInvertible
 from apolarity.fields import QQ, NumberField, cyclotomic_field
 from apolarity.linalg import (
     Matrix,
@@ -34,11 +34,12 @@ class TestRref:
         m = q_matrix([[0, 2, 4], [1, 1, 1], [2, 2, 2]])
         r, pivots = rref(m)
         assert pivots == (0, 1)
-        got = [[e.as_fraction() for e in row] for row in r.rows]
+        got = [[e.as_fraction() for e in row] for row in r.vectors()]
         assert got == [[1, 0, -1], [0, 1, 2]]
 
     def test_matches_naive_oracle_on_randoms(self):
         rng = random.Random(42)
+        cases = []
         for _ in range(120):
             nrows = rng.randint(0, 6)
             ncols = rng.randint(1, 6)
@@ -46,11 +47,19 @@ class TestRref:
                     for _ in range(nrows)]
             if rng.random() < 0.4 and nrows >= 2:
                 rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % nrows])]
+            cases.append(rows)
+        # large pairwise coprime denominators, so clearing them per row
+        # multiplies big integers
+        big = [2**61 - 1, 10**9 + 7, 998244353, 2**31 - 1, 3**40]
+        cases.append([[Fraction(rng.randint(-10**12, 10**12), big[(i + j) % 5])
+                       for j in range(5)] for i in range(4)])
+        for rows in cases:
             want_rows, want_pivots = naive_rref(rows)
             m = q_matrix(rows)
             got, pivots = rref(m)
             assert list(pivots) == want_pivots
-            assert [[e.as_fraction() for e in row] for row in got.rows] == want_rows
+            assert [[e.as_fraction() for e in row]
+                    for row in got.vectors()] == want_rows
 
     def test_rank(self):
         assert matrix_rank(q_matrix([[1, 2], [2, 4], [0, 1]])) == 2
@@ -87,6 +96,75 @@ class TestKernel:
     def test_full_kernel_for_zero_matrix(self):
         ker = kernel(q_matrix([[0, 0, 0]]))
         assert ker.is_full() and ker == Subspace.full(3, QQ)
+
+
+FIELDS = (QQ, cyclotomic_field(5))
+
+
+def unit_rows(field, n):
+    return [[field.raw_one if j == i else field.raw_zero for j in range(n)]
+            for i in range(n)]
+
+
+class TestFullSubspace:
+    @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Q(zeta_5)"])
+    def test_full_equals_insertion_and_zero_kernel(self, field):
+        n = 4
+        built = Subspace.zero(n, field)
+        for row in reversed(unit_rows(field, n)):
+            assert built.insert_raw(row)
+        zero = Matrix.from_rows([[field.zero] * n] * 2, field=field)
+        for full in (Subspace.full(n, field), kernel(zero)):
+            assert full == built and built == full
+            assert full.is_full() and full.dim == n
+            assert full.rows == unit_rows(field, n)
+            assert list(full.pivots) == list(range(n))
+        assert built.vectors() == [[field.one if j == i else field.zero
+                                    for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Q(zeta_5)"])
+    def test_operations_on_a_full_subspace(self, field):
+        n = 4
+        rng = random.Random(9)
+
+        def vec():
+            return [field.raw_rational(rng.randint(-5, 5)) for _ in range(n)]
+
+        full = Subspace.full(n, field)
+        part = Subspace.from_raw_vectors([vec(), vec()], n, field)
+        assert part.dim == 2 and not part.is_full()
+        # the identity rows, reduced the way a materialized basis would be
+        dense = Subspace.from_raw_vectors(unit_rows(field, n), n, field)
+        for v in (vec(), [field.raw_zero] * n):
+            assert full.contains_raw(v) and dense.contains_raw(v)
+        assert full.contains_subspace(part) and not part.contains_subspace(full)
+        copied = full.copy()
+        assert not copied.insert_raw(vec())
+        assert copied == full == dense and copied.dim == n
+        assert subspace_sum(full, part) == full == subspace_sum(part, full)
+        for meet in (subspace_intersect(full, part),
+                     subspace_intersect(part, full)):
+            assert meet == part and meet.rows == part.rows
+        assert subspace_intersect(full, full) == full
+
+    def test_lift_of_perp_keeps_full_slices(self):
+        from apolarity.apolar import perp
+        from apolarity.parser import parse_poly
+
+        field = cyclotomic_field(5)
+        f = parse_poly("x0^2*x1 + x1^3 - 2*x0*x1*x2")
+        lifted = perp(f).lift(field)
+        top = lifted.slices[-1]
+        assert top.is_full() and top.field == field
+        assert top.rows == unit_rows(field, top.ambient)
+        assert lifted == perp(f.lift(field))
+
+    def test_from_rows_rejects_a_foreign_entry(self):
+        field = cyclotomic_field(5)
+        with pytest.raises(FieldMismatch):
+            Matrix.from_rows([[field.one, QQ.one]], field=field)
+        with pytest.raises(FieldMismatch):
+            Matrix.from_rows([[QQ.one], [field.one]])
 
 
 class TestSubspaces:
@@ -225,7 +303,7 @@ def exact_solution(field, rows, rhs):
     if n in pivots:
         return None
     x = [field.zero] * n
-    for row, p in zip(red.rows, pivots):
+    for row, p in zip(red.vectors(), pivots):
         x[p] = row[n]
     return x
 
