@@ -24,22 +24,6 @@ from .parser import parse_extension, parse_poly
 from .poly import Poly, restrict_to_vars, split_disjoint
 from .strassen import strassen_rank
 
-ERROR_ORIGIN = {
-    "ZeroInversion": "fields", "NotInvertible": "fields",
-    "InvalidExtension": "fields",
-    "VarSetMismatch": "poly", "FieldMismatch": "poly",
-    "NonHomogeneous": "poly", "ZeroForm": "poly",
-    "AmbientMismatch": "linalg",
-    "EmptyGeneratorList": "apolar", "DegreeMismatch": "apolar",
-    "TNotInIdeal": "bounds", "EOutOfRange": "bounds",
-    "PointsNotApolar": "bounds", "DuplicatePoint": "bounds",
-    "NotBinary": "families", "NotMonomial": "families",
-    "ParameterOutOfRange": "families", "NotCIShape": "families",
-    "HypothesisViolated": "families", "NOutOfRange": "families",
-    "MixedDegrees": "strassen",
-    "UnknownVariable": "parser", "ParseError": "parser",
-}
-
 FAMILY_LABEL = {
     "Monomial": "monomial", "Binary": "binary", "XaSumB": "power-times-sum",
     "XaSumBPlusPower": "power-times-sum", "X0aG": "power-times-form",
@@ -390,9 +374,8 @@ def run(argv) -> int:
             return 1
         return DISPATCH[args.verb](args)
     except ApolarityError as err:
-        name = type(err).__name__
-        origin = ERROR_ORIGIN.get(name, "apolarity")
-        print(f"error: {origin}.{name}: {err}", file=sys.stderr)
+        print(f"error: {err.origin}.{type(err).__name__}: {err}",
+              file=sys.stderr)
         return 1
     except ArithmeticError as err:
         print(f"error: internal.{type(err).__name__}: {err}", file=sys.stderr)

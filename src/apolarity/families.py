@@ -1,8 +1,9 @@
 """Closed-form rank engines for recognized families of forms.
 
 Every family result recomputes its lower bound through the quotient engine
-rather than trusting the closed formula; upper bounds are either solved
-point decompositions or carried as self-contained cited statements.
+rather than trusting the closed formula; upper bounds are solved point
+decompositions, a monomial's decomposition in closed form with its own
+exact check, or self-contained cited statements.
 
 analyze() classifies a form and runs the engine that ENGINES maps its tag
 to. The FamilyAnalysis it returns is all that `apolarity rank` prints and
@@ -40,10 +41,11 @@ from .errors import (
     ParameterOutOfRange,
     ZeroForm,
 )
-from .fields import (QQ, cyclotomic_field, root_of_unity, squarefree_check,
+from .fields import (QQ, NumberField, cyclotomic, cyclotomic_field,
+                     root_of_unity, roots_of_unity, squarefree_check,
                      squarefree_decomposition, uni_degree, uni_eval, uni_trim)
-from .poly import (Poly, VarSet, apolar_action, embed_in_varset,
-                   restrict_to_vars)
+from .poly import (Poly, VarSet, _multinomial, apolar_action, embed_in_varset,
+                   monomial_basis, restrict_to_vars)
 
 MONOMIAL_CITATION = (
     "rk(x0^a0*...*xn^an) = prod_{i>=1}(a_i+1) when 0 < a0 <= a_i for all i; "
@@ -299,35 +301,131 @@ def monomial_rank(f: Poly) -> int:
     return math.prod(exps[i] + 1 for i in involved if i != pivot)
 
 
+def _monomial_grid(exps, involved, pivot):
+    """(others, m, grid) for the points of a monomial: the involved
+    variables other than the pivot, the order m of the roots of unity, and
+    per point the exponents k with coordinate zeta_m^k at each of others
+    (the pivot coordinate is 1)."""
+    others = [i for i in involved if i != pivot]
+    m = math.lcm(*(exps[i] + 1 for i in others)) if others else 1
+    grid = list(itertools.product(*(range(0, m, m // (exps[i] + 1))
+                                    for i in others)))
+    return others, m, grid
+
+
 def monomial_points(f: Poly):
     """The decomposition points of a monomial: pivot coordinate 1, the other
     involved coordinates running over all (a_i+1)-th roots of unity."""
     exps, involved, pivot = _monomial_data(f)
-    others = [i for i in involved if i != pivot]
-    n = len(f.varset)
-    if not others:
-        fld = QQ
-        coords = tuple(fld.one if i == pivot else fld.zero for i in range(n))
-        return [coords], fld
-    m = math.lcm(*(exps[i] + 1 for i in others))
+    others, m, grid = _monomial_grid(exps, involved, pivot)
     fld = cyclotomic_field(m)
+    roots = roots_of_unity(fld, m)
     points = []
-    for ks in itertools.product(*(range(exps[i] + 1) for i in others)):
-        coords = [fld.zero] * n
+    for ks in grid:
+        coords = [fld.zero] * len(f.varset)
         coords[pivot] = fld.one
         for i, k in zip(others, ks):
-            coords[i] = root_of_unity(fld, m, (m // (exps[i] + 1)) * k)
+            coords[i] = roots[k]
         points.append(tuple(coords))
     return points, fld
+
+
+def _closed_form(exps, involved, pivot):
+    """The decomposition of x^a over the points of monomial_points, in
+    exponents of zeta_m (Buczynska-Buczynski-Teitler, J. Algebra 378, 2013):
+
+        x^a = sum_k zeta_m^(w_k) L_k^d / (multinomial(d; a) prod_(i != p)(a_i+1))
+
+    with d = |a| and L_k the k-th point scaled to a leading coordinate 1,
+    which multiplies its weight prod_i eps_i^(-a_i) by eps_lead^d. Returns
+    m, each point as the exponents of its coordinates on the involved
+    variables (the others are 0), the weight exponents w_k and the
+    denominator.
+    """
+    others, m, grid = _monomial_grid(exps, involved, pivot)
+    d = sum(exps)
+    points, weights = [], []
+    for ks in grid:
+        k = dict(zip(others, ks))
+        k[pivot] = 0
+        lead = k[involved[0]]
+        points.append(tuple((k[i] - lead) % m for i in involved))
+        weights.append((d * lead - sum(exps[i] * k[i] for i in others)) % m)
+    denom = _multinomial(d, exps) * math.prod(exps[i] + 1 for i in others)
+    return m, points, weights, denom
+
+
+def _check_closed_form(a, m: int, points, weights, denom: int) -> None:
+    """Exact check of sum_k zeta^(w_k) L_k^d = denom * x^a without expanding.
+
+    The coefficient of x^b on the left is multinomial(d; b) times
+    sum_k zeta^(w_k + b.e_k), e_k the exponents of L_k. That sum is read off
+    integer counts per exponent class mod m, reduced by Phi_m. Only the
+    involved variables are checked: every point is 0 in the others, so a
+    monomial using one of them has coefficient 0 on both sides.
+    """
+    d = sum(a)
+    phi = [int(c) for c in cyclotomic(m)]
+    n = len(phi) - 1
+    cols = list(zip(*points))
+    for b in monomial_basis(len(a), d):
+        acc = weights
+        for bi, col in zip(b, cols):
+            if bi:
+                acc = [x + bi * y for x, y in zip(acc, col)]
+        counts = [0] * m
+        for x in acc:
+            counts[x % m] += 1
+        for k in range(m - 1, n - 1, -1):
+            c = counts[k]
+            if c:
+                for t in range(n):
+                    counts[k - n + t] -= c * phi[t]
+        target = denom if b == a else 0
+        if any(counts[1:n]) or counts[0] * _multinomial(d, b) != target:
+            raise ArithmeticError("decomposition failed re-verification")
+
+
+def _closed_form_field(f: Poly, m: int) -> NumberField | None:
+    """The field of the closed-form decomposition: F's own when it holds
+    the m-th roots of unity as powers of its generator (always for m <= 2),
+    Q(zeta_m) for a rational F, otherwise None."""
+    if m <= 2:
+        return f.field
+    fld = cyclotomic_field(m)
+    return fld if f.field.is_rationals() or f.field == fld else None
+
+
+def _monomial_upper(f: Poly) -> UpperBoundWitness | None:
+    """The closed-form decomposition of a monomial over its normalized
+    points, certified by _check_closed_form, or None when F's field has no
+    room for it (an extension other than Q(zeta_m) itself)."""
+    exps, involved, pivot = _monomial_data(f)
+    m, points, weights, denom = _closed_form(exps, involved, pivot)
+    fld = _closed_form_field(f, m)
+    if fld is None:
+        return None
+    _check_closed_form(tuple(exps[i] for i in involved), m, points, weights,
+                       denom)
+    roots = roots_of_unity(fld, m)
+    scale = f.lift(fld).coeff(exps) * Fraction(1, denom)
+    coords = []
+    for es in points:
+        pt = [fld.zero] * len(f.varset)
+        for i, k in zip(involved, es):
+            pt[i] = roots[k]
+        coords.append(tuple(pt))
+    coeffs = tuple(scale * roots[w] for w in weights)
+    return UpperBoundWitness(tuple(coords), coeffs, len(coords), fld)
 
 
 def monomial_certificate(f: Poly, e: int = 1,
                          solve_points: bool = True) -> RankCertificate:
     """Certified rank of a monomial: colon lower bound at degree e against
-    the explicit cyclotomic point decomposition.
+    the closed-form cyclotomic point decomposition.
 
-    With solve_points=False the decomposition is carried as a cited
-    statement instead of being solved exactly (cheaper for large ranks).
+    With solve_points=False, or over an extension field other than
+    Q(zeta_m), the decomposition is carried as a cited statement instead.
     """
     exps, _, pivot = _monomial_data(f)
     a0 = exps[pivot]
@@ -338,13 +436,12 @@ def monomial_certificate(f: Poly, e: int = 1,
     witness = lower_bound(f, list(gens), te)
     if witness.bound != rank:
         raise ArithmeticError("monomial bound disagreed with the formula")
-    if not solve_points:
+    upper = _monomial_upper(f) if solve_points else None
+    if upper is None:
         return RankCertificate(f, witness, None, "cited-upper", rank,
                                MONOMIAL_CITATION)
-    points, _ = monomial_points(f)
-    upper = upper_bound_from_points(f, points)
-    if upper is None or upper.count != rank:
-        raise ArithmeticError("monomial decomposition failed to solve")
+    if upper.count != rank:
+        raise ArithmeticError("monomial decomposition has the wrong size")
     return RankCertificate(f, witness, upper, "certified-equal")
 
 

@@ -373,16 +373,27 @@ def cyclotomic_field(m: int, name: str = "z") -> NumberField:
     return NumberField(name, cyclotomic(m))
 
 
-def root_of_unity(field: NumberField, m: int, k: int) -> "FieldElement":
-    """zeta_m^k inside a cyclotomic field whose generator is a primitive m-th root."""
-    k %= m
+@lru_cache(maxsize=128)
+def roots_of_unity(field: NumberField, m: int) -> tuple["FieldElement", ...]:
+    """zeta_m^0, .., zeta_m^(m-1) in the field, built once per (field, m).
+
+    For m <= 2 these are +-1, which every field holds; otherwise the field's
+    generator must be a primitive m-th root of unity.
+    """
+    if m <= 2:
+        return tuple(field.from_rational((-1) ** k) for k in range(m))
     if field.is_rationals():
-        if m == 1 or k == 0:
-            return field.one
-        if m == 2:
-            return field.from_rational(-1 if k == 1 else 1)
         raise InvalidExtension(f"rationals contain no primitive {m}-th root of unity")
-    return field.gen() ** k
+    z = field.gen()
+    table = [field.one]
+    for _ in range(m - 1):
+        table.append(table[-1] * z)
+    return tuple(table)
+
+
+def root_of_unity(field: NumberField, m: int, k: int) -> "FieldElement":
+    """zeta_m^k, looked up in the field's table of m-th roots of unity."""
+    return roots_of_unity(field, m)[k % m]
 
 
 class FieldElement:

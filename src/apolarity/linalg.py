@@ -22,12 +22,16 @@ modulus is a cyclotomic polynomial Phi_m with m >= 3 (detected once per
 modulus), the system is first solved modulo primes p = 1 (mod m), as
 phi(m) scalar eliminations per prime (see modular.py). That route answers
 only when every scalar image has full column rank: the solution is then
-unique, hence the same one Gauss-Jordan would return, and it is returned
-only after an exact check M x = b. An image inconsistent at full column
-rank proves there is no solution. Rank deficiency, or no verified
-solution within a fixed number of primes, falls back to Gauss-Jordan, as
-does every other modulus; rref, kernel and the subspace operations always
-eliminate exactly.
+unique, hence the same one Gauss-Jordan would return. An image
+inconsistent at full column rank proves there is no solution. Rank
+deficiency, or no verified solution within a fixed number of primes,
+falls back to exact elimination, as does every other modulus; rref,
+kernel and the subspace operations always eliminate exactly.
+
+Every solution solve returns has passed one certificate, the exact
+integer check M x = b of modular.check_solution: on the modular route it
+is the acceptance test of a candidate, after exact elimination it is a
+self-check that raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch
 from .fields import QQ, FieldElement, NumberField
-from .modular import UNDECIDED, cyclotomic_index, solve_cyclotomic
+from .modular import (UNDECIDED, check_solution, cyclotomic_index,
+                      solve_cyclotomic)
 
 
 def _elements(field: NumberField, rows) -> list[list[FieldElement]]:
@@ -407,7 +412,8 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | N
     back only when it is unique and passed an exact check of M x = rhs,
     and None only when a full-rank modular image proves the system
     inconsistent. In every other case, and over any other field, the
-    augmented matrix is reduced by exact elimination.
+    augmented matrix is reduced by exact elimination, and its solution
+    must pass the same check or ArithmeticError is raised.
     """
     field = matrix.field
     if len(rhs) != matrix.nrows:
@@ -425,4 +431,11 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | N
     x = [field.raw_zero] * n
     for row, p in zip(rows, pivots):
         x[p] = row[n]
+    if field.degree == 1:
+        certified = check_solution([[(v,) for v in row] for row in aug],
+                                   [(v,) for v in x], field.minpoly)
+    else:
+        certified = check_solution(aug, x, field.minpoly)
+    if not certified:
+        raise ArithmeticError("elimination failed the exact check M x = b")
     return [field.from_raw(v) for v in x]

@@ -17,6 +17,10 @@ column rank proves the system inconsistent: a nonzero maximal minor of
 [M | b] modulo a prime is nonzero over the field. Everything else
 (rank deficiency, no verified reconstruction within MAX_PRIMES primes)
 is reported as UNDECIDED for the caller's exact elimination.
+
+The same integer check, as check_solution, is the self-check that
+linalg.solve runs on the solutions of exact elimination, over any monic
+modulus.
 """
 
 from __future__ import annotations
@@ -208,8 +212,12 @@ def _integer_rows(rows) -> list[list[list[tuple[int, int]]]]:
     return out
 
 
-def _verify(int_rows, sol: list[list[Fraction]], phi: list[int]) -> bool:
-    """Exact check M x = b in integer coordinates, x over one denominator."""
+def _verify(int_rows, sol: list[list[Fraction]], phi: list) -> bool:
+    """Exact check M x = b in integer coordinates, x over one denominator.
+
+    phi is the monic modulus, little-endian; its coefficients may be
+    rationals, which only costs Fraction arithmetic in the reduction.
+    """
     n = len(phi) - 1
     den = 1
     for coords in sol:
@@ -234,6 +242,13 @@ def _verify(int_rows, sol: list[list[Fraction]], phi: list[int]) -> bool:
         if acc[:n] != want:
             return False
     return True
+
+
+def check_solution(rows, sol, minpoly) -> bool:
+    """The exact check M x = b for augmented rows [M | b] of coordinate
+    tuples over Q[z]/(minpoly) and a solution of coordinate tuples."""
+    phi = [c.numerator if c.denominator == 1 else c for c in minpoly]
+    return _verify(_integer_rows(rows), sol, phi)
 
 
 def solve_cyclotomic(rows, ncols: int, m: int):

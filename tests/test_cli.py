@@ -279,3 +279,48 @@ def test_internal_self_check_is_one_error_line(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: internal.ArithmeticError: "
                    "colon profile disagreed with the table\n")
+
+
+def test_every_error_class_names_its_module():
+    import importlib
+
+    from apolarity import errors
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = {cls.__name__: cls.origin
+             for cls in subclasses(errors.ApolarityError)}
+    # the `error: module.Name:` prefixes the CLI has always printed
+    assert found == {
+        "ZeroInversion": "fields", "NotInvertible": "fields",
+        "InvalidExtension": "fields",
+        "VarSetMismatch": "poly", "FieldMismatch": "poly",
+        "NonHomogeneous": "poly", "ZeroForm": "poly",
+        "AmbientMismatch": "linalg",
+        "EmptyGeneratorList": "apolar", "DegreeMismatch": "apolar",
+        "TNotInIdeal": "bounds", "EOutOfRange": "bounds",
+        "PointsNotApolar": "bounds", "DuplicatePoint": "bounds",
+        "NotBinary": "families", "NotMonomial": "families",
+        "ParameterOutOfRange": "families", "NotCIShape": "families",
+        "HypothesisViolated": "families", "NOutOfRange": "families",
+        "MixedDegrees": "strassen",
+        "UnknownVariable": "parser", "ParseError": "parser",
+    }
+    for origin in found.values():
+        importlib.import_module(f"apolarity.{origin}")
+    with pytest.raises(TypeError):
+        class Unplaced(errors.ApolarityError):
+            pass
+
+
+def test_error_line_uses_the_class_origin(capsys):
+    code, out, err = go(["lb", "x*y", "--ideal", "X;Y^2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: apolar.DegreeMismatch: generators span "
+                   "degrees [1, 2]\n")
+    code, _, err = go(["lb", "x^2", "--ideal", "Y"], capsys)
+    assert (code, err) == (1, "error: parser.UnknownVariable: variable 'Y' "
+                              "is not in the variable set ['x']\n")

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from apolarity.cli import run
+from apolarity.families import MONOMIAL_CITATION
 
 RANK = [
     ("x0^2*x1", 0, "rank = 3 (monomial, certified)\n",
@@ -77,6 +78,32 @@ STRASSEN = [
 ]
 
 
+# monomials parsed over an extension: over Q(zeta_m) itself, written in
+# the generator z, the closed-form points are certified as they were
+# solved before; for m <= 2 (and pure powers) the points are +-1, which
+# lift into any field; every other extension answers with the cited
+# upper bound
+EXT = [
+    (["rank", "x*y^2", "--ext", "z: z^2+z+1"], 0,
+     "rank = 3 (monomial, certified)\n",
+     "e35175a1e02df69098b5fbf65842e0cd6c0b8e8affe29baffe5a8b286ee114a3"),
+    (["rank", "x*y^2", "--ext", "a: a^2-2"], 0,
+     "rank = 3 (monomial, certified)\n",
+     "0bc6e3a475c33215eb9b59b4dbcc4d24cf5625a605751535beebce082a4f6deb"),
+    (["rank", "x*y^2", "--ext", "w: w^2+w+1"], 0,
+     "rank = 3 (monomial, certified)\n",
+     "0bc6e3a475c33215eb9b59b4dbcc4d24cf5625a605751535beebce082a4f6deb"),
+    (["rank", "x*y", "--ext", "a: a^2-2"], 0,
+     "rank = 2 (monomial, certified)\n",
+     "3090e8a8b83e2e6619058b3b90f73b28bc61b86668b1651557f276751844b635"),
+    (["strassen", "x*y^2 + z^3", "--ext", "a: a^2-2"], 0,
+     "block (x, y): monomial, rank 3, e options (1)\n"
+     "block (z): monomial, rank 1, e options (1, 2)\n"
+     "shared e = 1\nverdict: certified\ntotal rank = 4\n",
+     "fda1bf32e49e1b11c5d97229c17a8b049eb91077556cd8638bed75580967717f"),
+]
+
+
 def go(argv, capsys):
     code = run(argv)
     captured = capsys.readouterr()
@@ -106,3 +133,26 @@ def test_rank_nine_monomial_solved_by_rank_cited_by_strassen(capsys):
     assert block["status"] == "cited-upper"
     assert block["points"] == []
     assert block["cited_rank"] == 9
+
+
+@pytest.mark.parametrize("argv,code,text,digest", EXT)
+def test_extension_golden(argv, code, text, digest, capsys):
+    assert go(argv, capsys) == (code, text, "")
+    got_code, out, err = go(argv + ["--json"], capsys)
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,status,points", [
+    (["rank", "x*y^2", "--ext", "z: z^2+z+1"], "certified-equal", 3),
+    (["rank", "x*y", "--ext", "a: a^2-2"], "certified-equal", 2),
+    (["rank", "x*y^2", "--ext", "a: a^2-2"], "cited-upper", 0),
+    (["rank", "x*y^2", "--ext", "w: w^2+w+1"], "cited-upper", 0),
+])
+def test_extension_monomial_status(argv, status, points, capsys):
+    _, out, _ = go(argv + ["--json"], capsys)
+    data = json.loads(out)
+    assert data["status"] == status
+    assert len(data["points"]) == points
+    if status == "cited-upper":
+        assert data["citation"] == MONOMIAL_CITATION
