@@ -9,6 +9,11 @@ whole degree piece every later slice is full by ideal closure. Full slices
 are implicit (Subspace.full stores no rows), so they cost nothing to build,
 copy, lift or test against.
 
+Annihilators and colons are one computation. F_perp is the annihilator of
+F, and (F_perp : I) is the common annihilator of the forms g o F for the
+generators g of I: in each degree, the kernel of their stacked
+catalecticants. No ideals are ever intersected.
+
 Catalecticants, point evaluations and polynomial vectors are built as raw
 rows (NumberField.to_raw) and handed to elimination as they are.
 
@@ -32,8 +37,9 @@ from .errors import (
     ZeroForm,
 )
 from .fields import QQ, FieldElement, NumberField
-from .linalg import Matrix, Subspace, kernel, matrix_rank, subspace_intersect
-from .poly import Exps, Poly, VarSet, _falling, monomial_basis, space_dim
+from .linalg import Matrix, Subspace, kernel, matrix_rank
+from .poly import (Exps, Poly, VarSet, _falling, apolar_action,
+                   monomial_basis, space_dim)
 
 
 @lru_cache(maxsize=None)
@@ -183,18 +189,6 @@ class GradedIdeal:
         self.D = D
         self.slices = list(slices)
 
-    @classmethod
-    def unit(cls, varset: VarSet, D: int, field: NumberField = QQ) -> "GradedIdeal":
-        n = len(varset)
-        return cls(varset, field, D,
-                   [Subspace.full(space_dim(n, i), field) for i in range(D + 1)])
-
-    @classmethod
-    def zero_ideal(cls, varset: VarSet, D: int, field: NumberField = QQ) -> "GradedIdeal":
-        n = len(varset)
-        return cls(varset, field, D,
-                   [Subspace.zero(space_dim(n, i), field) for i in range(D + 1)])
-
     def dim(self, i: int) -> int:
         return self.slices[i].dim
 
@@ -245,23 +239,34 @@ class GradedIdeal:
         return f"GradedIdeal(D={self.D}, dims={dims})"
 
 
+def _annihilator(forms: Sequence[Poly], D: int) -> GradedIdeal:
+    """The common annihilator of forms in one ring, sliced up to D.
+
+    In degree i it is the kernel of the stacked catalecticants Cat_i(g) of
+    the nonzero forms g of degree >= i, and full where no form reaches i.
+    """
+    varset, field = forms[0].varset, forms[0].field
+    if any(g.field != field for g in forms):
+        raise FieldMismatch("forms over different fields")
+    forms = [g for g in forms if not g.is_zero()]
+    if forms and D < max(g.degree() for g in forms) + 1:
+        raise DegreeMismatch("truncation must reach deg F + 1")
+    n = len(varset)
+    slices = []
+    for i in range(D + 1):
+        rows = [row for g in forms if g.degree() >= i
+                for row in catalecticant(g, i).matrix.rows]
+        amb = space_dim(n, i)
+        slices.append(kernel(Matrix(field, len(rows), amb, rows)) if rows
+                      else Subspace.full(amb, field))
+    return GradedIdeal(varset, field, D, slices)
+
+
 def perp(f: Poly, D: int | None = None) -> GradedIdeal:
     """The annihilator of a nonzero form, sliced up to D (default deg F + 1)."""
     if f.is_zero():
         raise ZeroForm("the zero form has no annihilator")
-    d = f.degree()
-    if D is None:
-        D = d + 1
-    if D < d + 1:
-        raise DegreeMismatch("truncation must reach deg F + 1")
-    n = len(f.varset)
-    slices = []
-    for i in range(D + 1):
-        if i > d:
-            slices.append(Subspace.full(space_dim(n, i), f.field))
-        else:
-            slices.append(kernel(catalecticant(f, i).matrix))
-    return GradedIdeal(f.varset, f.field, D, slices)
+    return _annihilator([f], f.degree() + 1 if D is None else D)
 
 
 def ideal_from_generators(varset: VarSet, gens: Sequence[Poly], D: int,
@@ -297,29 +302,23 @@ def ideal_from_generators(varset: VarSet, gens: Sequence[Poly], D: int,
 
 
 def colon_by_form(f: Poly, t: Poly, D: int | None = None) -> GradedIdeal:
-    """(F_perp : t) computed as the annihilator of t o F."""
+    """(F_perp : t), the annihilator of t o F."""
     if f.is_zero():
         raise ZeroForm("colon against the zero form")
     if t.is_zero():
         raise ZeroForm("colon by the zero operator")
-    from .poly import apolar_action
-
-    d = f.degree()
-    if D is None:
-        D = d + 1
-    g = apolar_action(t, f)
-    n = len(f.varset)
-    if g.is_zero():
-        return GradedIdeal.unit(f.varset, D, f.field)
-    if g.degree() == 0:
-        slices = [Subspace.zero(1, f.field)]
-        slices += [Subspace.full(space_dim(n, i), f.field) for i in range(1, D + 1)]
-        return GradedIdeal(f.varset, f.field, D, slices)
-    return perp(g, D)
+    return _annihilator([apolar_action(t, f)],
+                        f.degree() + 1 if D is None else D)
 
 
 def colon_by_ideal(f: Poly, gens: Sequence[Poly], D: int | None = None) -> GradedIdeal:
-    """(F_perp : I) for I generated in one degree, via degreewise intersection."""
+    """(F_perp : I) for I generated in one degree.
+
+    h * I lies in F_perp exactly when h o (g o F) = 0 for every generator g,
+    so the colon is the common annihilator of the forms g o F: in each
+    degree one kernel of their stacked catalecticants, with no intersection
+    of per-generator colons.
+    """
     if not gens:
         raise EmptyGeneratorList("colon needs at least one generator")
     degrees = set()
@@ -333,13 +332,10 @@ def colon_by_ideal(f: Poly, gens: Sequence[Poly], D: int | None = None) -> Grade
         raise DegreeMismatch(f"generators span degrees {sorted(degrees)}")
     if degrees.pop() < 1:
         raise DegreeMismatch("generators must have positive degree")
-    out = colon_by_form(f, gens[0], D)
-    for g in gens[1:]:
-        nxt = colon_by_form(f, g, D)
-        slices = [subspace_intersect(a, b)
-                  for a, b in zip(out.slices, nxt.slices)]
-        out = GradedIdeal(f.varset, f.field, out.D, slices)
-    return out
+    if f.is_zero():
+        raise ZeroForm("colon against the zero form")
+    return _annihilator([apolar_action(g, f) for g in gens],
+                        f.degree() + 1 if D is None else D)
 
 
 def add_principal(ideal: GradedIdeal, t: Poly) -> GradedIdeal:

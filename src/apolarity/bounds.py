@@ -163,8 +163,10 @@ def lower_bound(f: Poly, gens, t: Poly | None = None,
 
     With t omitted: for principal I the generator itself is used and the
     bound is unconditional; otherwise up to five seeded integer combinations
-    of the generators are tried and the best bound is reported, flagged
-    generic-t since a special t can only weaken, never falsify, the bound.
+    of the generators are tried, flagged generic-t. A special t can only
+    raise the colon sum above its general value, so the bound can overshoot
+    the rank; the draw with the smallest sum (the first among ties) is
+    reported.
     """
     if f.is_zero():
         raise ZeroForm("no bound for the zero form")
@@ -208,7 +210,7 @@ def lower_bound(f: Poly, gens, t: Poly | None = None,
         if tc.is_zero():
             continue
         cand = witness(tc, "generic-t")
-        if best is None or cand.bound > best.bound:
+        if best is None or cand.profile.total() < best.profile.total():
             best = cand
     if best is None:
         raise ZeroForm("all drawn combinations of the generators vanished")

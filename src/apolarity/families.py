@@ -853,10 +853,9 @@ def _block_certificate(f: Poly, res, citation: str) -> RankCertificate:
                            None if cited is None else citation)
 
 
-def _monomial_engine(f, match, seed, e, solve_cap):
+def _monomial_engine(f, match, seed, e):
     rank = monomial_rank(f)
-    cert = monomial_certificate(
-        f, e, solve_points=solve_cap is None or rank <= solve_cap)
+    cert = monomial_certificate(f, e)
     a0 = min(x for x in match.parameters["exponents"] if x > 0)
     es = range(1, (a0 + 1) // 2 + 1)
     return FamilyAnalysis(match.tag, (rank, rank), cert, (MONOMIAL_CITATION,),
@@ -864,7 +863,7 @@ def _monomial_engine(f, match, seed, e, solve_cap):
                                           for k in es}))
 
 
-def _vandermonde_engine(f, match, seed, e, solve_cap):
+def _vandermonde_engine(f, match, seed, e):
     res = vandermonde(match.parameters["n"])
     cert = _block_certificate(f, res, res.citation)
     t = Poly.variable(f.varset, 0)
@@ -872,7 +871,7 @@ def _vandermonde_engine(f, match, seed, e, solve_cap):
                           (res.citation,), lambda: (cert, {1: ((t,), t)}))
 
 
-def _xa_sum_b_engine(f, match, seed, e, solve_cap):
+def _xa_sum_b_engine(f, match, seed, e):
     a, b, n = (match.parameters[k] for k in ("a", "b", "n"))
     res = xa_sum_b_rank(a, b, n, plus_power=match.tag == "XaSumBPlusPower",
                         seed=seed)
@@ -891,14 +890,14 @@ def _xa_sum_b_engine(f, match, seed, e, solve_cap):
                           lambda: (cert, options))
 
 
-def _x0a_g_engine(f, match, seed, e, solve_cap):
+def _x0a_g_engine(f, match, seed, e):
     cert = x0a_g_certificate(f)
     q = Poly.variable(f.varset, match.parameters["pivot"])
     return FamilyAnalysis(match.tag, (cert.rank, cert.rank), cert,
                           (CI_CITATION,), lambda: (cert, {1: ((q,), q)}))
 
 
-def _binary_engine(f, match, seed, e, solve_cap):
+def _binary_engine(f, match, seed, e):
     syl = sylvester(f)
 
     def block():
@@ -914,14 +913,14 @@ def _binary_engine(f, match, seed, e, solve_cap):
                           (BINARY_CITATION,), block)
 
 
-def _generic_engine(f, match, seed, e, solve_cap):
+def _generic_engine(f, match, seed, e):
     # no family recognized: bounds from the colon by all the variables
     cert = certify(f, _variables(f), seed=seed)
     return FamilyAnalysis(match.tag, (cert.lower.bound, None), cert, (),
                           lambda: (cert, {}))
 
 
-# tag -> engine(f, match, seed, e, solve_cap) returning a FamilyAnalysis
+# tag -> engine(f, match, seed, e) returning a FamilyAnalysis
 ENGINES = {
     "Monomial": _monomial_engine,
     "Vandermonde": _vandermonde_engine,
@@ -933,14 +932,11 @@ ENGINES = {
 }
 
 
-def analyze(f: Poly, seed: int = 0, e: int = 1,
-            solve_cap: int | None = None) -> FamilyAnalysis:
+def analyze(f: Poly, seed: int = 0, e: int = 1) -> FamilyAnalysis:
     """Classify F and run the engine of its family once.
 
-    seed drives the generic draws of t, e is the colon degree of the
-    monomial certificate, and solve_cap is the largest monomial rank whose
-    points are solved exactly (None solves them all); above it the
-    decomposition is cited.
+    seed drives the generic draws of t, and e is the colon degree of the
+    monomial certificate.
     """
     match = classify(f)
-    return ENGINES[match.tag](f, match, seed, e, solve_cap)
+    return ENGINES[match.tag](f, match, seed, e)

@@ -50,11 +50,6 @@ RESTRICTION_LOWER_NOTE = (
     "setting the variables of the other summands to zero restricts any "
     "decomposition, so max_i rk(F_i) = {0} is an unconditional lower bound")
 
-# largest monomial block rank whose points are solved; beyond it the
-# decomposition is cited (`apolarity rank` solves every monomial)
-SOLVE_CAP = 8
-
-
 @dataclass(frozen=True)
 class SummandReport:
     """One variable-disjoint block with its certificate and e-options."""
@@ -183,7 +178,7 @@ def _analyze_block(g: Poly, block, hint, seed: int) -> _Summand:
         return _Summand(red, block, "Monomial", (1, 1), options, 1, cert,
                         (FRESH_POWER_CITATION,), red)
 
-    found = analyze(g, seed, solve_cap=SOLVE_CAP)
+    found = analyze(g, seed)
     cert, options = found.block()
     return _Summand(g, block, found.tag, found.bounds, options, ess, cert,
                     found.citations, red)

@@ -22,11 +22,12 @@ from apolarity.errors import (
     DegreeMismatch,
     DuplicatePoint,
     EmptyGeneratorList,
+    FieldMismatch,
     NonHomogeneous,
     ZeroForm,
 )
 from apolarity.fields import QQ, cyclotomic_field
-from apolarity.linalg import Subspace
+from apolarity.linalg import Subspace, subspace_intersect
 from apolarity.poly import Poly, VarSet, apolar_action, monomial_basis, space_dim
 
 from conftest import naive_kernel, naive_rref, span_rref
@@ -194,6 +195,61 @@ def test_colon_by_ideal_membership_and_dims():
         assert C.slices[i].dim == A.slices[i].dim + B.slices[i].dim - rank_sum
 
 
+def _colon_by_intersection(f, gens, D):
+    # the former definition: one colon per generator, met slice by slice
+    slices = colon_by_form(f, gens[0], D).slices
+    for g in gens[1:]:
+        slices = [subspace_intersect(a, b)
+                  for a, b in zip(slices, colon_by_form(f, g, D).slices)]
+    return slices
+
+
+def _random_ext_form(vs, degree, rng, field):
+    z = field.gen()
+    return Poly(vs, {exps: field.from_rational(rng.randint(-3, 3))
+                     + z * rng.randint(-3, 3)
+                     for exps in monomial_basis(len(vs), degree)}, field)
+
+
+@pytest.mark.parametrize("field", [QQ, cyclotomic_field(5)],
+                         ids=["QQ", "Qzeta5"])
+def test_colon_by_ideal_equals_intersection_of_form_colons(field):
+    rng = random.Random(59)
+
+    def form(vs, degree):
+        if field.is_rationals():
+            return random_form(vs, degree, rng)
+        return _random_ext_form(vs, degree, rng, field)
+
+    cases = []
+    for _ in range(8):
+        d = rng.randint(2, 4)
+        e = rng.randint(1, 2)
+        f = form(V3, d)
+        gens = [form(V3, e) for _ in range(rng.randint(2, 4))]
+        cases.append((f, gens))
+    # a generator that kills F: F does not involve x2
+    f = form(V2, 3)
+    f = Poly(V3, {exps + (0,): c for exps, c in f.terms.items()}, field)
+    cases.append((f, [mono(V3, (0, 0, 1)), form(V3, 1), form(V3, 1)]))
+    cases.append((f, [mono(V3, (0, 1, 1)), mono(V3, (0, 0, 2)), form(V3, 2)]))
+    # deg t = deg F, so each t o F is a constant
+    f = form(V3, 2)
+    cases.append((f, [form(V3, 2), mono(V3, (1, 1, 0)), mono(V3, (0, 0, 2))]))
+    for f, gens in cases:
+        for D in (f.degree() + 1, f.degree() + 2):
+            C = colon_by_ideal(f, gens, D)
+            assert (C.field, C.D) == (field, D)
+            assert C.slices == _colon_by_intersection(f, gens, D)
+
+
+def test_colon_by_ideal_rejects_generators_over_two_fields():
+    f = mono(V2, (2, 1))
+    ext = Poly.variable(V2, 1, field=cyclotomic_field(5))
+    with pytest.raises(FieldMismatch):
+        colon_by_ideal(f, [mono(V2, (1, 0)), ext])
+
+
 def test_colon_by_ideal_validation():
     f = mono(V3, (2, 1, 0))
     with pytest.raises(EmptyGeneratorList):
@@ -312,8 +368,6 @@ def test_graded_ideal_validation_and_membership():
         Subspace.zero(3, QQ),
     ])
     assert not bad.verify_closure()
-    assert GradedIdeal.unit(V2, 2).slices[0].is_full()
-    assert GradedIdeal.zero_ideal(V2, 2).slices[2].dim == 0
 
 
 def test_perp_rejects_bad_input():

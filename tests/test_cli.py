@@ -30,6 +30,16 @@ def test_lb_golden_bound_eight(capsys):
     assert "ideal = (W)" in out
 
 
+def test_lb_keeps_the_draw_with_the_smallest_colon_sum(capsys):
+    # at seed 73 one of the five draws has no X3 term and a colon sum of 15;
+    # a general t gives (1, 4, 4, 3), and the form has rank 12
+    code, out, err = go(["lb", "x0^2*(x1^3+x2^3+x3^3+x4^3)",
+                         "--ideal", "X1;X2;X3;X4", "--seed", "73"], capsys)
+    assert (code, err) == (0, "")
+    assert "0: 1\n1: 4\n2: 4\n3: 3\n4: 0" in out
+    assert out.endswith("lower bound = 12 (generic-t)\n")
+
+
 def test_strassen_golden_total_seven(capsys):
     code, out, _ = go(["strassen", "x0^2*x1 + y0*y1*y2"], capsys)
     assert code == 0

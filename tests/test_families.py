@@ -210,6 +210,15 @@ def test_xa_sum_b_geq_regime():
     assert r.regime == "a+1>=b" and r.rank == 9 and r.status == "cited-upper"
 
 
+@pytest.mark.parametrize("seed", [73, 126, 142, 173])
+def test_xa_sum_b_generic_t_keeps_the_smallest_colon_sum(seed):
+    # at these seeds one draw of t is special and overshoots the rank;
+    # the general draws give the bound that meets the 12 points
+    r = xa_sum_b_rank(2, 3, 4, seed=seed)
+    assert r.regime == "a+1>=b" and r.rank == 12
+    assert r.lower.bound == 12 and r.lower.validity == "generic-t"
+
+
 def test_xa_sum_b_n2_regime():
     r = xa_sum_b_rank(1, 3, 2)
     assert r.regime == "n=2" and r.rank == 6

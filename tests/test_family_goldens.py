@@ -74,7 +74,7 @@ STRASSEN = [
      "block (x0, x1, x2): monomial, rank 9, e options (1)\n"
      "block (y): monomial, rank 1, e options (1, 2, 3)\n"
      "shared e = 1\nverdict: certified\ntotal rank = 10\n",
-     "5c9e94f68298ccce0041876615ac126ee9ddf62e2fb4ce394243d724fdfaef6a"),
+     "5b3b41e1fe08e0c5fd540d2bf3d57b966076ff429c5b27998d84f00ca06f65e8"),
 ]
 
 
@@ -121,18 +121,19 @@ def test_family_golden(verb, expr, code, text, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_rank_nine_monomial_solved_by_rank_cited_by_strassen(capsys):
-    # the solve cap: `rank` always solves monomial points, strassen only
-    # up to rank 8 and cites the decomposition beyond
+def test_rank_nine_monomial_certified_by_rank_and_strassen(capsys):
+    # `rank` and strassen both certify a monomial's closed-form points,
+    # whatever its rank
     _, out, _ = go(["rank", "x0*x1^2*x2^2", "--json"], capsys)
     data = json.loads(out)
     assert data["status"] == "certified-equal"
     assert len(data["points"]) == 9
     _, out, _ = go(["strassen", "x0*x1^2*x2^2 + y^5", "--json"], capsys)
     block = json.loads(out)["summands"][0]["certificate"]
-    assert block["status"] == "cited-upper"
-    assert block["points"] == []
-    assert block["cited_rank"] == 9
+    assert block["status"] == "certified-equal"
+    assert len(block["points"]) == 9
+    assert block["points"] == data["points"]
+    assert "cited_rank" not in block
 
 
 @pytest.mark.parametrize("argv,code,text,digest", EXT)

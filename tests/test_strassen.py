@@ -153,7 +153,7 @@ def test_binary_e_option_search():
     ]
     for f, rank, t_str in cases:
         # the first two are monomials, so the Binary engine is run directly
-        found = ENGINES["Binary"](f, FamilyMatch("Binary", {}, ""), 0, 1, None)
+        found = ENGINES["Binary"](f, FamilyMatch("Binary", {}, ""), 0, 1)
         _, options = found.block()
         assert 1 in options
         assert str(options[1][1]) == t_str
