@@ -19,7 +19,8 @@ from .linalg import (Matrix, Subspace, kernel, matrix_rank, rref, solve,
 from .apolar import (Catalecticant, GradedIdeal, HFProfile, add_principal,
                      catalecticant, colon_by_form, colon_by_ideal, hf,
                      hf_points, ideal_from_generators, koszul_ci_hf,
-                     minimal_generators, normalize_point, perp, points_ideal)
+                     minimal_generators, normalize_point, perp, points_ideal,
+                     principal_sum_hf)
 from .bounds import (ChangeOfBasis, LinearCaseAnalysis, LowerBoundWitness,
                      Prop36Report, RankCertificate, UpperBoundWitness,
                      certify, essential_vars, linear_candidate_analysis,
@@ -49,7 +50,7 @@ __all__ = [
     "Catalecticant", "GradedIdeal", "HFProfile", "add_principal",
     "catalecticant", "colon_by_form", "colon_by_ideal", "hf", "hf_points",
     "ideal_from_generators", "koszul_ci_hf", "minimal_generators",
-    "normalize_point", "perp", "points_ideal",
+    "normalize_point", "perp", "points_ideal", "principal_sum_hf",
     "ChangeOfBasis", "LinearCaseAnalysis", "LowerBoundWitness",
     "Prop36Report", "RankCertificate", "UpperBoundWitness", "certify",
     "essential_vars", "linear_candidate_analysis", "lower_bound",

@@ -14,6 +14,12 @@ F, and (F_perp : I) is the common annihilator of the forms g o F for the
 generators g of I: in each degree, the kernel of their stacked
 catalecticants. No ideals are ever intersected.
 
+A rank lower bound needs only the Hilbert function of T/((F_perp : I) + (t)),
+and principal_sum_hf reads it off ranks of the same stacked catalecticants
+without building an ideal. The ideal engine stays for the slices themselves
+and as the reference the tests hold that path to; add_principal adds (t) to
+a sliced ideal by one batch elimination per degree.
+
 Catalecticants, point evaluations and polynomial vectors are built as raw
 rows (NumberField.to_raw) and handed to elimination as they are.
 
@@ -73,31 +79,16 @@ def _raw_vector_poly(varset: VarSet, field: NumberField, degree: int, row) -> Po
                             field)
 
 
-def _shift_raw_row(field: NumberField, row, nvars: int, degree: int,
-                   t_terms: list[tuple[Exps, object]]) -> list:
-    """Multiply the degree-`degree` coefficient row by the form with raw terms."""
-    e = sum(t_terms[0][0])
-    out = [field.raw_zero] * space_dim(nvars, degree + e)
-    rational = field.degree == 1
-    for alpha, c in t_terms:
-        mp = _shift_map(nvars, degree, alpha)
-        if rational:
-            for j, v in enumerate(row):
-                if v:
-                    out[mp[j]] += c * v
-        else:
-            mul, add = field.mul_coords, field.add_coords
-            for j, v in enumerate(row):
-                if not field.is_zero_coords(v):
-                    out[mp[j]] = add(out[mp[j]], mul(c, v))
-    return out
-
-
 def _times_variables(field: NumberField, row, nvars: int, degree: int):
-    """The products x_k * row, k = 0 .. nvars-1, one at a time."""
+    """The products x_k * row, k = 0 .. nvars-1, one at a time: each moves
+    the coefficients onto the shifted monomials."""
+    amb = space_dim(nvars, degree + 1)
     for k in range(nvars):
         alpha = tuple(1 if j == k else 0 for j in range(nvars))
-        yield _shift_raw_row(field, row, nvars, degree, [(alpha, field.raw_one)])
+        out = [field.raw_zero] * amb
+        for j, v in zip(_shift_map(nvars, degree, alpha), row):
+            out[j] = v
+        yield out
 
 
 def _insert_times_linear(out: Subspace, s: Subspace, nvars: int,
@@ -129,9 +120,6 @@ class Catalecticant:
     form: Poly
     i: int
     matrix: Matrix
-
-    def rank(self) -> int:
-        return matrix_rank(self.matrix)
 
 
 def catalecticant(f: Poly, i: int) -> Catalecticant:
@@ -239,27 +227,30 @@ class GradedIdeal:
         return f"GradedIdeal(D={self.D}, dims={dims})"
 
 
-def _annihilator(forms: Sequence[Poly], D: int) -> GradedIdeal:
-    """The common annihilator of forms in one ring, sliced up to D.
-
-    In degree i it is the kernel of the stacked catalecticants Cat_i(g) of
-    the nonzero forms g of degree >= i, and full where no form reaches i.
-    """
-    varset, field = forms[0].varset, forms[0].field
+def _stacked_catalecticants(forms: Sequence[Poly], D: int):
+    """Per degree i = 0..D, the catalecticants Cat_i(g) of the nonzero forms
+    g of degree >= i stacked into one matrix, with no rows where no form
+    reaches i. Its kernel is the degree-i slice of the common annihilator,
+    and its rank the quotient's Hilbert function in degree i."""
+    field, n = forms[0].field, len(forms[0].varset)
     if any(g.field != field for g in forms):
         raise FieldMismatch("forms over different fields")
     forms = [g for g in forms if not g.is_zero()]
     if forms and D < max(g.degree() for g in forms) + 1:
         raise DegreeMismatch("truncation must reach deg F + 1")
-    n = len(varset)
-    slices = []
     for i in range(D + 1):
         rows = [row for g in forms if g.degree() >= i
                 for row in catalecticant(g, i).matrix.rows]
-        amb = space_dim(n, i)
-        slices.append(kernel(Matrix(field, len(rows), amb, rows)) if rows
-                      else Subspace.full(amb, field))
-    return GradedIdeal(varset, field, D, slices)
+        yield Matrix(field, len(rows), space_dim(n, i), rows)
+
+
+def _annihilator(forms: Sequence[Poly], D: int) -> GradedIdeal:
+    """The common annihilator of forms in one ring, sliced up to D: in
+    degree i the kernel of the stacked catalecticants, full where no form
+    reaches i."""
+    slices = [kernel(m) if m.nrows else Subspace.full(m.ncols, m.field)
+              for m in _stacked_catalecticants(forms, D)]
+    return GradedIdeal(forms[0].varset, forms[0].field, D, slices)
 
 
 def perp(f: Poly, D: int | None = None) -> GradedIdeal:
@@ -341,10 +332,8 @@ def colon_by_ideal(f: Poly, gens: Sequence[Poly], D: int | None = None) -> Grade
 def add_principal(ideal: GradedIdeal, t: Poly) -> GradedIdeal:
     """Slices of I + (t) from the slices of I.
 
-    For a monomial t the new contribution is a set of unit coordinate
-    vectors, so each slice splits off those coordinates and only the
-    complementary block needs re-reduction; otherwise the t-multiples are
-    inserted one by one.
+    Each degree i >= deg t that is not yet full is one batch elimination of
+    the slice's rows together with the multiples t * T_(i - deg t).
     """
     if t.is_zero():
         raise ZeroForm("cannot add the zero form")
@@ -358,66 +347,27 @@ def add_principal(ideal: GradedIdeal, t: Poly) -> GradedIdeal:
     n = len(ideal.varset)
     field = ideal.field
     t_terms = _poly_raw_terms(t)
-    is_monomial = len(t_terms) == 1
     out: list[Subspace] = []
     for i in range(ideal.D + 1):
-        amb = space_dim(n, i)
-        if i < e:
-            out.append(ideal.slices[i].copy())
+        base = ideal.slices[i]
+        if i < e or base.is_full():
+            out.append(base.copy())
             continue
+        amb = space_dim(n, i)
         if out[i - 1].is_full():
             out.append(Subspace.full(amb, field))
             continue
-        base = ideal.slices[i]
-        if base.is_full():
-            out.append(base.copy())
-            continue
-        if is_monomial:
-            alpha = t_terms[0][0]
-            cols = sorted(_shift_map(n, i - e, alpha))
-            out.append(_sum_with_unit_columns(base, cols, field))
-        else:
-            cur = base.copy()
-            for m in monomial_basis(n, i - e):
-                row = _shift_raw_row(
-                    field,
-                    [field.raw_one],
-                    n, 0,
-                    [(tuple(a + b for a, b in zip(alpha, m)), c)
-                     for alpha, c in t_terms],
-                )
-                cur.insert_raw(row)
-                if cur.is_full():
-                    break
-            out.append(cur)
+        # row j is t times the j-th monomial of degree i - e
+        shifts = [(_shift_map(n, i - e, alpha), c) for alpha, c in t_terms]
+        multiples = []
+        for j in range(space_dim(n, i - e)):
+            row = [field.raw_zero] * amb
+            for mp, c in shifts:
+                row[mp[j]] = c
+            multiples.append(row)
+        out.append(Subspace.from_raw_vectors(multiples + base.rows, amb,
+                                             field))
     return GradedIdeal(ideal.varset, field, ideal.D, out)
-
-
-def _sum_with_unit_columns(base: Subspace, cols: list[int],
-                           field: NumberField) -> Subspace:
-    """base + span{e_k : k in cols}, assembled directly in canonical form.
-
-    Reducing base off the columns in cols leaves rows that vanish there, so
-    those rows and the unit vectors, sorted by pivot, are already canonical.
-    """
-    amb = base.ambient
-    colset = set(cols)
-    keep = [j for j in range(amb) if j not in colset]
-    projected = [[row[j] for j in keep] for row in base.rows]
-    reduced = Subspace.from_raw_vectors(projected, len(keep), field)
-    if reduced.is_full():
-        return Subspace.full(amb, field)
-    by_pivot = {}
-    for k in cols:
-        by_pivot[k] = [field.raw_zero] * amb
-        by_pivot[k][k] = field.raw_one
-    for row, p in zip(reduced.rows, reduced.pivots):
-        full_row = [field.raw_zero] * amb
-        for j, v in zip(keep, row):
-            full_row[j] = v
-        by_pivot[keep[p]] = full_row
-    pivots = sorted(by_pivot)
-    return Subspace(field, amb, [by_pivot[p] for p in pivots], pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +397,34 @@ def hf(ideal: GradedIdeal) -> HFProfile:
     n = len(ideal.varset)
     return HFProfile(tuple(space_dim(n, i) - ideal.slices[i].dim
                            for i in range(ideal.D + 1)))
+
+
+def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
+                     D: int) -> list[HFProfile]:
+    """HF of T/(ann(forms) + (t)) in degrees 0..D, one profile per t.
+
+    With e = deg t, ann(forms) meets t * T_(i-e) in t * ann(t o forms)_(i-e),
+    and multiplication by t is injective, so the value in degree i is
+    rk Cat_i(forms) - rk Cat_(i-e)(t o forms), catalecticants of several
+    forms stacked. The ranks of the forms are taken once for all t, and no
+    ideal is built. For the forms g o F over the generators g of I this is
+    T/((F_perp : I) + (t)).
+    """
+    def ranks(fs, top):
+        return [matrix_rank(m) if m.nrows else 0
+                for m in _stacked_catalecticants(fs, top)]
+
+    base = ranks(forms, D)
+    out = []
+    for t in ts:
+        if t.varset != forms[0].varset:
+            raise AmbientMismatch("t lives over a different variable set")
+        e = t.degree()
+        shifted = ranks([apolar_action(t, g) for g in forms], D - e)
+        out.append(HFProfile(tuple(
+            v - (shifted[i - e] if i >= e else 0)
+            for i, v in enumerate(base))))
+    return out
 
 
 def koszul_ci_hf(degrees: Sequence[int], upto: int) -> HFProfile:

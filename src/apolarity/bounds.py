@@ -1,8 +1,10 @@
 """Rank certification: quotient lower bounds, point-decomposition upper bounds.
 
 The lower bound sums the Hilbert function of T/(ann(F):I + (t)) and divides
-by e = deg t. When I = (t) the bound is valid for every nonzero t; for a
-larger I it holds for a general t in I_e, so drawn t's are flagged as such.
+by e = deg t. That function comes from catalecticant ranks alone
+(apolar.principal_sum_hf), so no colon ideal is built. When I = (t) the
+bound is valid for every nonzero t; for a larger I it holds for a general t
+in I_e, so drawn t's are flagged as such.
 An upper bound is an explicit list of points whose d-th powers of linear
 forms combine to F, found by an exact linear solve: linalg.solve returns a
 solution only after the integer check M x = b, whose columns are the
@@ -20,11 +22,10 @@ from .apolar import (
     HFProfile,
     add_principal,
     catalecticant,
-    colon_by_ideal,
-    hf,
     normalize_point,
     perp,
     points_ideal,
+    principal_sum_hf,
 )
 from .apolar import _poly_raw_vector
 from .errors import (
@@ -40,7 +41,8 @@ from .errors import (
 )
 from .fields import FieldElement, NumberField
 from .linalg import Matrix, Subspace, kernel, rref, solve
-from .poly import Poly, VarSet, linear_form, power_of_linear, space_dim
+from .poly import (Poly, VarSet, apolar_action, linear_form, power_of_linear,
+                   space_dim)
 
 GENERIC_COEFF_BOUND = 997
 GENERIC_DRAWS = 5
@@ -176,14 +178,13 @@ def lower_bound(f: Poly, gens, t: Poly | None = None,
     gens = [g if g.field == f.field else g.lift(f.field) for g in gens]
     e = _validate_gens(f, gens)
     span = _gen_span(gens, e)
-    colon = colon_by_ideal(f, gens, d + 1)
+    # (F_perp : I) is the common annihilator of the forms g o F
+    forms = [apolar_action(g, f) for g in gens]
 
-    def witness(tc: Poly, validity: str) -> LowerBoundWitness:
-        summed = add_principal(colon, tc)
-        profile = hf(summed)
-        total = profile.total()
-        return LowerBoundWitness(tuple(gens), tc, e, profile,
-                                 -(-total // e), validity)
+    def witnesses(ts, validity: str) -> list[LowerBoundWitness]:
+        return [LowerBoundWitness(tuple(gens), tc, e, profile,
+                                  -(-profile.total() // e), validity)
+                for tc, profile in zip(ts, principal_sum_hf(forms, ts, d + 1))]
 
     if t is not None:
         if t.field != f.field:
@@ -193,13 +194,13 @@ def lower_bound(f: Poly, gens, t: Poly | None = None,
         if not span.contains_raw(_poly_raw_vector(t, e)):
             raise TNotInIdeal(f"t = {t} is not in the degree-{e} span of I")
         validity = "unconditional" if span.dim == 1 else "generic-t"
-        return witness(t, validity)
+        return witnesses([t], validity)[0]
 
     if len(gens) == 1:
-        return witness(gens[0], "unconditional")
+        return witnesses([gens[0]], "unconditional")[0]
 
     rng = random.Random(seed)
-    best: LowerBoundWitness | None = None
+    draws = []
     for _ in range(GENERIC_DRAWS):
         coeffs = [rng.randint(-GENERIC_COEFF_BOUND, GENERIC_COEFF_BOUND)
                   for _ in gens]
@@ -207,14 +208,12 @@ def lower_bound(f: Poly, gens, t: Poly | None = None,
         for c, g in zip(coeffs, gens):
             if c:
                 tc = tc + g.scale(c)
-        if tc.is_zero():
-            continue
-        cand = witness(tc, "generic-t")
-        if best is None or cand.profile.total() < best.profile.total():
-            best = cand
-    if best is None:
+        if not tc.is_zero():
+            draws.append(tc)
+    if not draws:
         raise ZeroForm("all drawn combinations of the generators vanished")
-    return best
+    # min keeps the first draw among those with the smallest sum
+    return min(witnesses(draws, "generic-t"), key=lambda w: w.profile.total())
 
 
 def _unify_field(f: Poly, points, field: NumberField | None):
@@ -446,21 +445,18 @@ def linear_candidate_analysis(f: Poly, target: int,
         xk = Poly.variable(f.varset, k, field=f.field)
         w = lower_bound(f, [xk], xk)
         coord.append((f.varset.names[k], w.profile.total()))
-    fperp = perp(f)
-    sampled_max = 0
-    samples = 0
-    choices = (0,) + tuple(grid)
-    for coeffs in _coeff_grid(n, choices):
+    ts = []
+    for coeffs in _coeff_grid(n, (0,) + tuple(grid)):
         if sum(1 for c in coeffs if c) < 2:
             continue
         lead = next(i for i, c in enumerate(coeffs) if c)
-        if coeffs[lead] != 1:
-            continue
-        t = linear_form(f.varset, [Fraction(c) for c in coeffs], f.field)
-        total = hf(add_principal(fperp, t)).total()
-        samples += 1
-        if total > sampled_max:
-            sampled_max = total
+        if coeffs[lead] == 1:
+            ts.append(linear_form(f.varset, [Fraction(c) for c in coeffs],
+                                  f.field))
+    # the quotient by ann(F) + (t) alone
+    totals = [p.total() for p in principal_sum_hf([f], ts, f.degree() + 1)]
+    sampled_max = max(totals, default=0)
+    samples = len(ts)
     refuted = all(v != target for _, v in coord) and sampled_max < target
     return LinearCaseAnalysis(target, tuple(coord), sampled_max, samples,
                               refuted)

@@ -23,7 +23,7 @@ from .errors import (DegreeMismatch, EmptyGeneratorList, EOutOfRange,
 from .families import (CI_CITATION, XASUMB_GEQ_CITATION, _monomial_inputs,
                        analyze, ci_rank, classify, monomial_certificate,
                        monomial_rank)
-from .linalg import kernel, subspace_intersect
+from .linalg import matrix_rank, subspace_intersect
 from .poly import Poly, restrict_to_vars, space_dim, split_disjoint
 
 ADDITIVITY_CITATION = (
@@ -147,7 +147,9 @@ class _Summand:
                                    self.fallback.status,
                                    self.fallback.cited_rank,
                                    self.fallback.citation)
-            perp_zero = kernel(catalecticant(self.reduced, e).matrix).dim == 0
+            # (reduced)_perp vanishes in degree e: Cat_e has full column rank
+            cat = catalecticant(self.reduced, e).matrix
+            perp_zero = matrix_rank(cat) == cat.ncols
             return SummandReport(self.form, self.block, self.family, cert,
                                  self.rank, self.bounds, tuple(self.options),
                                  e, self.essential, perp_zero)

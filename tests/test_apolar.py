@@ -266,8 +266,6 @@ def test_colon_by_ideal_validation():
 
 def test_add_principal_matches_regenerated_ideal():
     rng = random.Random(97)
-    f = random_form(V3, 4, rng)
-    J = perp(f)
     ts = [
         mono(V3, (1, 0, 0)),
         mono(V3, (2, 0, 0)),
@@ -275,13 +273,21 @@ def test_add_principal_matches_regenerated_ideal():
         mono(V3, (1, 0, 0)) + mono(V3, (0, 1, 0)),
         mono(V3, (2, 0, 0)) + mono(V3, (0, 1, 1), -3),
     ]
-    for t in ts:
-        A = add_principal(J, t)
-        B = ideal_from_generators(V3, minimal_generators(J) + [t], J.D)
-        assert A == B
-        assert A.verify_closure()
-        for i in range(J.D + 1):
-            assert A.slices[i].contains_subspace(J.slices[i])
+    F5 = cyclotomic_field(5)
+    t5 = (mono(V3, (0, 0, 1)).lift(F5)
+          + mono(V3, (1, 0, 0)).lift(F5).scale(F5.gen()))
+    cases = [(random_form(V3, 4, rng), ts),
+             (_random_ext_form(V3, 4, rng, F5), ts + [t5])]
+    for f, f_ts in cases:
+        J = perp(f)
+        for t in f_ts:
+            A = add_principal(J, t)
+            B = ideal_from_generators(
+                V3, minimal_generators(J) + [t.lift(f.field)], J.D)
+            assert A == B
+            assert A.verify_closure()
+            for i in range(J.D + 1):
+                assert A.slices[i].contains_subspace(J.slices[i])
 
 
 def test_add_principal_validation():
