@@ -66,37 +66,44 @@ def _shift_map(nvars: int, degree: int, alpha: Exps) -> tuple[int, ...]:
 def _poly_raw_vector(f: Poly, degree: int) -> list:
     field = f.field
     vec = [field.raw_zero] * space_dim(len(f.varset), degree)
-    index = _basis_index(len(f.varset), degree)
-    for exps, c in f.terms.items():
-        if sum(exps) != degree:
-            raise NonHomogeneous("vectorization needs a single degree")
-        vec[index[exps]] = field.to_raw(c)
+    for j, v in _poly_sparse_vector(f, degree).items():
+        vec[j] = v
     return vec
 
 
-def _raw_vector_poly(varset: VarSet, field: NumberField, degree: int, row) -> Poly:
-    return Poly.from_vector(varset, degree, [field.from_raw(v) for v in row],
-                            field)
+def _poly_sparse_vector(f: Poly, degree: int) -> dict:
+    """The coefficients of a form of the given degree as a sparse raw row."""
+    index = _basis_index(len(f.varset), degree)
+    out = {}
+    for exps, c in f.terms.items():
+        if sum(exps) != degree:
+            raise NonHomogeneous("vectorization needs a single degree")
+        out[index[exps]] = f.field.to_raw(c)
+    return out
 
 
-def _times_variables(field: NumberField, row, nvars: int, degree: int):
-    """The products x_k * row, k = 0 .. nvars-1, one at a time: each moves
-    the coefficients onto the shifted monomials."""
-    amb = space_dim(nvars, degree + 1)
+def _sparse_row_poly(varset: VarSet, field: NumberField, degree: int,
+                     row: dict) -> Poly:
+    basis = monomial_basis(len(varset), degree)
+    return Poly(varset, {basis[j]: field.from_raw(row[j]) for j in sorted(row)},
+                field)
+
+
+def _times_variables(row: dict, nvars: int, degree: int):
+    """The products x_k * row, k = 0 .. nvars-1, of a sparse row, one at a
+    time: each moves the entries onto the shifted monomials."""
     for k in range(nvars):
         alpha = tuple(1 if j == k else 0 for j in range(nvars))
-        out = [field.raw_zero] * amb
-        for j, v in zip(_shift_map(nvars, degree, alpha), row):
-            out[j] = v
-        yield out
+        shift = _shift_map(nvars, degree, alpha)
+        yield {shift[j]: v for j, v in row.items()}
 
 
 def _insert_times_linear(out: Subspace, s: Subspace, nvars: int,
                          degree: int) -> None:
     """Insert T_1 * s into out, for a slice s of the given degree, until
     out is full."""
-    for row in s.rows:
-        for v in _times_variables(s.field, row, nvars, degree):
+    for row in s.sparse_rows():
+        for v in _times_variables(row, nvars, degree):
             out.insert_raw(v)
             if out.is_full():
                 return
@@ -181,8 +188,8 @@ class GradedIdeal:
         return self.slices[i].dim
 
     def slice_polys(self, i: int) -> list[Poly]:
-        return [_raw_vector_poly(self.varset, self.field, i, row)
-                for row in self.slices[i].rows]
+        return [_sparse_row_poly(self.varset, self.field, i, row)
+                for row in self.slices[i].sparse_rows()]
 
     def contains_poly(self, g: Poly) -> bool:
         if g.is_zero():
@@ -190,7 +197,7 @@ class GradedIdeal:
         i = g.degree()
         if i > self.D:
             raise DegreeMismatch(f"degree {i} beyond the truncation {self.D}")
-        return self.slices[i].contains_raw(_poly_raw_vector(g, i))
+        return self.slices[i].contains_raw(_poly_sparse_vector(g, i))
 
     def lift(self, field: NumberField) -> "GradedIdeal":
         if field == self.field:
@@ -200,7 +207,8 @@ class GradedIdeal:
         out = []
         for s in self.slices:
             rows = None if s.is_full() else [
-                [field.raw_rational(v) for v in row] for row in s.rows]
+                {j: field.raw_rational(v) for j, v in row.items()}
+                for row in s.sparse_rows()]
             out.append(Subspace(field, s.ambient, rows, list(s.pivots)))
         return GradedIdeal(self.varset, field, self.D, out)
 
@@ -211,9 +219,9 @@ class GradedIdeal:
             nxt = self.slices[i + 1]
             if nxt.is_full() or not self.slices[i].dim:
                 continue
-            for row in self.slices[i].rows:
-                if not all(nxt.contains_raw(v) for v in
-                           _times_variables(self.field, row, n, i)):
+            for row in self.slices[i].sparse_rows():
+                if not all(nxt.contains_raw(v)
+                           for v in _times_variables(row, n, i)):
                     return False
         return True
 
@@ -287,7 +295,7 @@ def ideal_from_generators(varset: VarSet, gens: Sequence[Poly], D: int,
             _insert_times_linear(cur, slices[i - 1], n, i - 1)
         for g in by_degree.get(i, []):
             if not cur.is_full():
-                cur.insert_raw(_poly_raw_vector(g, i))
+                cur.insert_raw(_poly_sparse_vector(g, i))
         slices.append(cur)
     return GradedIdeal(varset, field, D, slices)
 
@@ -521,7 +529,7 @@ def minimal_generators(ideal: GradedIdeal) -> list[Poly]:
             _insert_times_linear(grown, ideal.slices[i - 1], n, i - 1)
         if grown.is_full():
             continue
-        for row in cur.rows:
-            if grown.insert_raw(list(row)):
-                gens.append(_raw_vector_poly(ideal.varset, field, i, row))
+        for row in cur.sparse_rows():
+            if grown.insert_raw(row):
+                gens.append(_sparse_row_poly(ideal.varset, field, i, row))
     return gens

@@ -1,18 +1,25 @@
 """Exact linear algebra: canonical reduced row echelon subspaces and kernels.
 
-Matrices and subspaces hold raw rows: lists of raw scalars in the format
-NumberField fixes (a Fraction over a degree-1 field, a coordinate tuple
-otherwise), so values go from a polynomial to elimination without a
-FieldElement in between. Matrix.from_rows and the vectors() views are the
-only FieldElement boundaries.
+Matrices and subspaces hold raw rows: raw scalars in the format NumberField
+fixes (a Fraction over a degree-1 field, a coordinate tuple otherwise), so
+values go from a polynomial to elimination without a FieldElement in
+between. Matrix.from_rows and the vectors() views are the only FieldElement
+boundaries.
 
 Over the rationals, batch elimination is fraction-free (Bareiss-Jordan on
 integer rows, exact divisions checked), which keeps intermediate entries as
-minors instead of exploding fractions. Over extensions a plain Gauss-Jordan
-runs on coordinate vectors. Every subspace is stored as the unique reduced
-row echelon basis with pivot 1, so equal subspaces compare equal rowwise.
-A full subspace stores no rows at all: its basis is the identity, which is
-built only when a caller reads .rows.
+minors instead of exploding fractions; matrix_rank runs only its forward
+half. Over extensions a plain Gauss-Jordan runs on coordinate vectors.
+
+Every subspace is stored as the unique reduced row echelon basis with pivot
+1, so equal subspaces compare equal rowwise. A Matrix row is a dense list;
+a Subspace stores each basis row sparsely, as a {column: raw scalar} dict
+of its nonzero entries keyed by its pivot, and builds dense rows only when
+.rows is read. Incremental insertion works on those sparse rows: a vector
+is reduced only by the rows whose pivots lie in its support, so the
+annihilators and T_1-products of sparse forms (monomial ideals have one
+nonzero per row) cost their support, not their ambient. A full subspace
+stores no rows at all: its basis is the identity, built only when read.
 
 Pivoting always selects the first usable column, and kernels are emitted
 directly in canonical form by eliminating with the column order reversed.
@@ -36,6 +43,8 @@ self-check that raises ArithmeticError.
 
 from __future__ import annotations
 
+import operator
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -57,8 +66,8 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _rref_q(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Canonical RREF over QQ via integer Bareiss-Jordan elimination."""
+def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
+    """Each row scaled to coprime integers, spanning the same lines."""
     mat: list[list[int]] = []
     for row in rows:
         den = lcm(*(c.denominator for c in row))
@@ -67,6 +76,42 @@ def _rref_q(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]
         if g > 1:
             ints = [v // g for v in ints]
         mat.append(ints)
+    return mat
+
+
+def _rank_q(rows: list[list[Fraction]]) -> int:
+    """Rank over QQ by forward-only fraction-free (Bareiss) elimination.
+
+    A pivot row leaves the matrix once the rows still in it are updated
+    from its column on; nothing is reduced above a pivot, and only the
+    pivots are counted."""
+    mat = _integer_rows(rows)
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    prev = 1
+    for c in range(ncols):
+        p = next((i for i, row in enumerate(mat) if row[c]), None)
+        if p is None:
+            continue
+        rest = mat.pop(p)[c:]
+        piv = rest[0]
+        for row in mat:
+            f = row[c]
+            if f:
+                row[c:] = [_exact_div(piv * a - f * b, prev)
+                           for a, b in zip(row[c:], rest)]
+            elif prev != piv:
+                row[c:] = [_exact_div(piv * a, prev) for a in row[c:]]
+        prev = piv
+        rank += 1
+        if not mat:
+            break
+    return rank
+
+
+def _rref_q(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Canonical RREF over QQ via integer Bareiss-Jordan elimination."""
+    mat = _integer_rows(rows)
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
@@ -187,27 +232,66 @@ def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def matrix_rank(matrix: Matrix) -> int:
-    return len(_batch_rref(matrix.rows, matrix.field)[1])
+    if matrix.field.degree == 1:
+        return _rank_q(matrix.rows)
+    return len(_rref_ext(matrix.rows, matrix.field)[1])
+
+
+def _raw_ops(field: NumberField):
+    """Product, difference, zero test and inverse of the field's raw scalars."""
+    if field.degree == 1:
+        return operator.mul, operator.sub, operator.not_, _inverse_q
+    return (field.mul_coords, field.sub_coords, field.is_zero_coords,
+            field.inv_coords)
+
+
+def _inverse_q(a: Fraction) -> Fraction:
+    return 1 / a
+
+
+def _sparse(vec, is_zero) -> dict:
+    """A fresh {column: raw scalar} dict of the nonzero entries of a dense
+    raw row or of another such dict."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {j: v for j, v in items if not is_zero(v)}
+
+
+def _sub_multiple(vec: dict, f, row: dict, skip: int, ops, zero) -> None:
+    """vec -= f * row in place, over the entries of row off column skip."""
+    mul, sub, is_zero, _ = ops
+    for j, b in row.items():
+        if j != skip:
+            v = sub(vec.get(j, zero), mul(f, b))
+            if is_zero(v):
+                vec.pop(j, None)
+            else:
+                vec[j] = v
 
 
 class Subspace:
     """A linear subspace held as its canonical reduced row echelon basis.
 
-    Rows are raw (see NumberField.to_raw); use vectors() for FieldElement
-    views. A full subspace keeps no rows: its basis is the identity, built
-    afresh whenever .rows is read. Equality is rowwise equality of the
-    canonical bases.
+    Each basis row is stored sparsely, as a {column: raw scalar} dict of
+    its nonzero entries (raw as in NumberField.to_raw), keyed by its pivot;
+    pivots lists the pivot columns in increasing order. .rows builds dense
+    raw rows in pivot order when read, sparse_rows() returns the stored
+    dicts and vectors() FieldElement rows. A full subspace keeps no rows:
+    its basis is the identity, built afresh whenever it is read. Equality
+    is equality of the canonical bases.
     """
 
     __slots__ = ("field", "ambient", "_rows", "pivots")
 
     def __init__(self, field: NumberField, ambient: int, rows, pivots):
+        """rows: the sparse basis rows aligned with the increasing pivots,
+        or None for the full space."""
         self.field = field
         self.ambient = ambient
-        if len(pivots) == ambient:
-            rows, pivots = None, range(ambient)
-        self._rows = rows
-        self.pivots = pivots
+        if rows is None or len(pivots) == ambient:
+            self._rows, self.pivots = None, range(ambient)
+        else:
+            self._rows = dict(zip(pivots, rows))
+            self.pivots = list(pivots)
 
     # -- constructors
 
@@ -227,24 +311,40 @@ class Subspace:
             if len(vec) != ambient:
                 raise AmbientMismatch("vector length does not match the ambient")
             raw.append([field.to_raw(v) for v in vec])
-        rows, pivots = _batch_rref(raw, field)
-        return cls(field, ambient, rows, pivots)
+        return cls._from_rref(raw, ambient, field)
 
     @classmethod
     def from_raw_vectors(cls, raw: Sequence[Sequence], ambient: int,
                          field: NumberField = QQ) -> "Subspace":
-        rows, pivots = _batch_rref([list(r) for r in raw], field)
-        return cls(field, ambient, rows, pivots)
+        return cls._from_rref([list(r) for r in raw], ambient, field)
+
+    @classmethod
+    def _from_rref(cls, raw: list, ambient: int, field: NumberField):
+        rows, pivots = _batch_rref(raw, field)
+        is_zero = _raw_ops(field)[2]
+        return cls(field, ambient, [_sparse(r, is_zero) for r in rows], pivots)
 
     # -- views
 
+    def sparse_rows(self) -> list[dict]:
+        """The basis rows as {column: raw scalar} dicts of their nonzero
+        entries, in pivot order. The stored dicts: read, do not change."""
+        if self._rows is None:
+            one = self.field.raw_one
+            return [{i: one} for i in range(self.ambient)]
+        return [self._rows[p] for p in self.pivots]
+
     @property
     def rows(self) -> list:
-        if self._rows is not None:
-            return self._rows
-        one, zero = self.field.raw_one, self.field.raw_zero
-        n = self.ambient
-        return [[one if j == i else zero for j in range(n)] for i in range(n)]
+        """The basis rows as dense raw rows, in pivot order."""
+        zero = self.field.raw_zero
+        out = []
+        for row in self.sparse_rows():
+            dense = [zero] * self.ambient
+            for j, v in row.items():
+                dense[j] = v
+            out.append(dense)
+        return out
 
     @property
     def dim(self) -> int:
@@ -260,7 +360,7 @@ class Subspace:
         if self._rows is None:
             return Subspace.full(self.ambient, self.field)
         return Subspace(self.field, self.ambient,
-                        [list(r) for r in self._rows], list(self.pivots))
+                        [dict(r) for r in self.sparse_rows()], self.pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -269,71 +369,55 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
-    # -- reduction helpers (mutating; used while a subspace is being built)
+    # -- sparse reduction (insert_raw mutates; used while a subspace is built)
 
-    def _reduce_raw(self, vec: list) -> list:
-        field = self.field
-        if field.degree == 1:
-            for row, p in zip(self._rows, self.pivots):
-                f = vec[p]
-                if f:
-                    vec = [a - f * b for a, b in zip(vec, row)]
-        else:
-            mul, sub, is_zero = field.mul_coords, field.sub_coords, field.is_zero_coords
-            for row, p in zip(self._rows, self.pivots):
-                f = vec[p]
-                if not is_zero(f):
-                    vec = [sub(a, mul(f, b)) for a, b in zip(vec, row)]
+    def _reduce(self, vec: dict, ops) -> dict:
+        """vec minus its part in the span, in place: zero in every pivot
+        column. Basis rows vanish in each other's pivot columns, so only the
+        rows whose pivots lie in vec's support are read, once each."""
+        rows, zero = self._rows, self.field.raw_zero
+        for p in [j for j in vec if j in rows]:
+            _sub_multiple(vec, vec.pop(p), rows[p], p, ops, zero)
         return vec
 
-    def insert_raw(self, vec: list) -> bool:
-        """Add one vector, keeping canonical form; True if the dim grew."""
-        if self._rows is None:
-            return False
-        field = self.field
+    def insert_raw(self, vec) -> bool:
+        """Add one raw vector, a dense row or a sparse {column: raw scalar}
+        dict, keeping canonical form; True if the dim grew. vec itself is
+        not changed."""
         rows = self._rows
-        vec = self._reduce_raw(list(vec))
-        if field.degree == 1:
-            lead = next((j for j, v in enumerate(vec) if v), None)
-            if lead is None:
-                return False
-            inv = 1 / vec[lead]
-            vec = [v * inv for v in vec]
-            for i, row in enumerate(rows):
-                f = row[lead]
-                if f:
-                    rows[i] = [a - f * b for a, b in zip(row, vec)]
-        else:
-            is_zero = field.is_zero_coords
-            lead = next((j for j, v in enumerate(vec) if not is_zero(v)), None)
-            if lead is None:
-                return False
-            inv = field.inv_coords(vec[lead])
-            mul, sub = field.mul_coords, field.sub_coords
-            vec = [mul(inv, v) for v in vec]
-            for i, row in enumerate(rows):
-                f = row[lead]
-                if not is_zero(f):
-                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(row, vec)]
-        at = next((i for i, p in enumerate(self.pivots) if p > lead),
-                  len(self.pivots))
-        rows.insert(at, vec)
-        self.pivots.insert(at, lead)
+        if rows is None:
+            return False
+        ops = _raw_ops(self.field)
+        mul, _, is_zero, inv = ops
+        vec = self._reduce(_sparse(vec, is_zero), ops)
+        if not vec:
+            return False
+        lead = min(vec)
+        scale = inv(vec[lead])
+        vec = {j: mul(scale, v) for j, v in vec.items()}
+        zero = self.field.raw_zero
+        for row in rows.values():
+            f = row.pop(lead, None)
+            if f is not None:
+                _sub_multiple(row, f, vec, lead, ops, zero)
+        rows[lead] = vec
+        insort(self.pivots, lead)
         if len(rows) == self.ambient:
             self._rows, self.pivots = None, range(self.ambient)
         return True
 
-    def contains_raw(self, vec: list) -> bool:
+    def contains_raw(self, vec) -> bool:
+        """Whether a raw vector, dense or sparse, lies in the subspace."""
         if self._rows is None:
             return True
-        zero = self.field.raw_zero
-        return all(v == zero for v in self._reduce_raw(list(vec)))
+        ops = _raw_ops(self.field)
+        return not self._reduce(_sparse(vec, ops[2]), ops)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
         if other._rows is None:
             return self._rows is None
-        return all(self.contains_raw(row) for row in other._rows)
+        return all(self.contains_raw(row) for row in other.sparse_rows())
 
     def _check(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -360,8 +444,7 @@ def kernel(matrix: Matrix) -> Subspace:
     for f in range(n - 1, -1, -1):
         if f in pivot_set:
             continue
-        vec = [zero] * n
-        vec[n - 1 - f] = one
+        vec = {n - 1 - f: one}
         for row, p in zip(rows, pivots):
             val = row[f]
             if val != zero:
@@ -378,8 +461,8 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     out = big.copy()
     if out.is_full():
         return out
-    for row in small.rows:
-        out.insert_raw(list(row))
+    for row in small.sparse_rows():
+        out.insert_raw(row)
         if out.is_full():
             break
     return out

@@ -27,7 +27,7 @@ from apolarity.errors import (
     ZeroForm,
 )
 from apolarity.fields import QQ, cyclotomic_field
-from apolarity.linalg import Subspace, subspace_intersect
+from apolarity.linalg import Matrix, Subspace, matrix_rank, subspace_intersect
 from apolarity.poly import Poly, VarSet, apolar_action, monomial_basis, space_dim
 
 from conftest import naive_kernel, naive_rref, span_rref
@@ -116,6 +116,36 @@ def test_minimal_generators_regenerate():
         P = perp(f)
         gens = minimal_generators(P)
         assert ideal_from_generators(f.varset, gens, P.D) == P
+
+
+def test_minimal_generator_counts_match_batch_ranks():
+    # generators kept in degree i = dim I_i - rank of T_1 * I_(i-1), that
+    # rank taken by one batch elimination of the products as polynomials
+    rng = random.Random(29)
+    V4 = VarSet(("x0", "x1", "x2", "x3"))
+    forms = [random_form(V2, 6, rng), random_form(V3, 3, rng),
+             random_form(V3, 4, rng), random_form(V4, 3, rng),
+             mono(V3, (1, 2, 3)), mono(V4, (2, 1, 1, 2))]
+    forms.append(forms[1] + mono(V3, (0, 0, 3)))
+    for f in forms:
+        P = perp(f)
+        n = len(f.varset)
+        per_degree = [0] * (P.D + 1)
+        for g in minimal_generators(P):
+            per_degree[g.degree()] += 1
+        for i in range(P.D + 1):
+            products = [] if i == 0 else [
+                (g * Poly.variable(f.varset, k)).to_vector(i)
+                for g in P.slice_polys(i - 1) for k in range(n)]
+            m = Matrix.from_rows(products, field=QQ, ncols=space_dim(n, i))
+            assert per_degree[i] == P.dim(i) - matrix_rank(m), (f, i)
+
+
+def test_vandermonde_generator_degrees():
+    from apolarity.families import build_vandermonde
+
+    gens = minimal_generators(perp(build_vandermonde(4)))
+    assert [g.degree() for g in gens] == [1, 2, 3, 4]
 
 
 def test_gorenstein_symmetry():

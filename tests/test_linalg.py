@@ -214,6 +214,105 @@ class TestSubspaces:
         assert a == b
 
 
+def rand_raw(field, rng):
+    coords = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+              for _ in range(field.degree)]
+    return coords[0] if field.degree == 1 else tuple(coords)
+
+
+def vector_stream(field, rng, n):
+    """Seeded raw vectors of length n: sparse and dense ones, unit vectors,
+    zero vectors, repeats and combinations of earlier ones; every other
+    stream has enough dense vectors to fill the ambient."""
+    zero = field.raw_zero
+    out = []
+    count = rng.randint(1, 2 * n + 2)
+    for _ in range(count):
+        kind = rng.choice(("sparse", "dense", "unit", "zero", "repeat",
+                           "combination"))
+        if kind in ("repeat", "combination") and not out:
+            kind = "unit"
+        if kind == "sparse":
+            vec = [zero] * n
+            for j in rng.sample(range(n), rng.randint(1, min(2, n))):
+                vec[j] = rand_raw(field, rng)
+        elif kind == "dense":
+            vec = [rand_raw(field, rng) for _ in range(n)]
+        elif kind == "unit":
+            vec = [zero] * n
+            vec[rng.randrange(n)] = field.raw_one
+        elif kind == "zero":
+            vec = [zero] * n
+        elif kind == "repeat":
+            vec = list(rng.choice(out))
+        else:
+            a, b = rng.choice(out), rng.choice(out)
+            ca, cb = (field.from_raw(rand_raw(field, rng)) for _ in range(2))
+            vec = [field.to_raw(ca * field.from_raw(x) + cb * field.from_raw(y))
+                   for x, y in zip(a, b)]
+        out.append(vec)
+    if rng.random() < 0.5:
+        out += [[rand_raw(field, rng) for _ in range(n)] for _ in range(n)]
+    return out
+
+
+def sparse(field, vec):
+    return {j: v for j, v in enumerate(vec) if v != field.raw_zero}
+
+
+class TestIncrementalAgainstBatch:
+    """Sparse incremental insertion against one batch elimination of the
+    same vectors, which shares no reduction code with it."""
+
+    def same(self, got, want):
+        assert got.rows == want.rows
+        assert list(got.pivots) == list(want.pivots)
+        assert got.dim == want.dim and got.is_full() == want.is_full()
+        assert got == want and want == got
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Q(zeta_5)"])
+    def test_insert_raw_in_any_order_equals_batch(self, field):
+        rng = random.Random(61 if field.degree == 1 else 62)
+        for _ in range(40 if field.degree == 1 else 15):
+            n = rng.randint(1, 7)
+            stream = vector_stream(field, rng, n)
+            batch = Subspace.from_raw_vectors(stream, n, field)
+            for order in range(3):
+                vecs = list(stream)
+                if order:
+                    rng.shuffle(vecs)
+                inc = Subspace.zero(n, field)
+                for k, vec in enumerate(vecs):
+                    # alternate dense rows and sparse dicts; neither changes
+                    arg = sparse(field, vec) if k % 2 else list(vec)
+                    before, dim = repr(arg), inc.dim
+                    grew = inc.insert_raw(arg)
+                    assert grew == (inc.dim == dim + 1)
+                    assert repr(arg) == before
+                self.same(inc, batch)
+                for vec in stream:
+                    assert inc.contains_raw(vec)
+                    assert inc.contains_raw(sparse(field, vec))
+                for _ in range(3):
+                    probe = [rand_raw(field, rng) if rng.random() < 0.5
+                             else field.raw_zero for _ in range(n)]
+                    inside = Subspace.from_raw_vectors(
+                        stream + [probe], n, field).dim == batch.dim
+                    assert inc.contains_raw(probe) == inside
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Q(zeta_5)"])
+    def test_subspace_sum_equals_batch_of_both_bases(self, field):
+        rng = random.Random(63 if field.degree == 1 else 64)
+        for _ in range(30 if field.degree == 1 else 10):
+            n = rng.randint(1, 7)
+            a = Subspace.from_raw_vectors(vector_stream(field, rng, n), n, field)
+            b = Subspace.from_raw_vectors(vector_stream(field, rng, n), n, field)
+            want = Subspace.from_raw_vectors(a.rows + b.rows, n, field)
+            self.same(subspace_sum(a, b), want)
+            self.same(subspace_sum(b, a), want)
+            assert want.contains_subspace(a) and want.contains_subspace(b)
+
+
 class TestSolve:
     def test_consistent_system_roundtrip(self):
         rng = random.Random(5)
