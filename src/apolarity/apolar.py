@@ -16,12 +16,23 @@ catalecticants. No ideals are ever intersected.
 
 A rank lower bound needs only the Hilbert function of T/((F_perp : I) + (t)),
 and principal_sum_hf reads it off ranks of the same stacked catalecticants
-without building an ideal. The ideal engine stays for the slices themselves
-and as the reference the tests hold that path to; add_principal adds (t) to
-a sliced ideal by one batch elimination per degree.
+without building an ideal. Over QQ that path has no Fraction in it: each
+form is scaled to integer coefficients (a row scaling, so no rank moves),
+t o G is contracted on those integers, and the catalecticants go to
+fraction-free elimination as integer rows holding only their nonzero rows
+and columns. Where a single form is ranked, the Gorenstein symmetry
+rk Cat_i = rk Cat_(d-i) halves the eliminations. The ideal engine stays for
+the slices themselves and as the reference the tests hold that path to;
+add_principal adds (t) to a sliced ideal by one batch elimination per
+degree.
 
-Catalecticants, point evaluations and polynomial vectors are built as raw
-rows (NumberField.to_raw) and handed to elimination as they are.
+Every catalecticant is built from its nonzero cells, driven by the terms of
+F: a term x^beta reaches only the columns alpha <= beta, so the cost is the
+number of nonzero cells, not columns x terms. Catalecticants, point
+evaluations and polynomial vectors are built as raw rows
+(NumberField.to_raw) and handed to elimination as they are; point
+evaluations come from one power table per point coordinate, over QQ of an
+integer multiple of the point.
 
 Groebner machinery is deliberately absent; degreewise exact linear algebra
 decides everything needed.
@@ -29,8 +40,10 @@ decides everything needed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm, perm
 from typing import Sequence
 
 from .errors import (
@@ -44,7 +57,7 @@ from .errors import (
 )
 from .fields import QQ, FieldElement, NumberField
 from .linalg import Matrix, Subspace, kernel, matrix_rank
-from .poly import (Exps, Poly, VarSet, _falling, apolar_action,
+from .poly import (Exps, Poly, VarSet, _contract_raw, apolar_action,
                    monomial_basis, space_dim)
 
 
@@ -129,6 +142,45 @@ class Catalecticant:
     matrix: Matrix
 
 
+def _term_cells(beta: Exps, i: int) -> list[tuple[int, int, int]]:
+    """The cells X^alpha o x^beta = s * x^(beta - alpha) for alpha <= beta
+    of degree i, as (row, column, s): row the index of beta - alpha among
+    the monomials of degree |beta| - i, column that of alpha among those of
+    degree i. Degree bounds prune every prefix that cannot reach
+    |alpha| = i, so nothing else is visited."""
+    d = sum(beta)
+    partial = [((), (), 0, 1)]
+    rest = d
+    for b in beta:
+        rest -= b
+        partial = [(alpha + (a,), gamma + (b - a,), deg + a, s * perm(b, a))
+                   for alpha, gamma, deg, s in partial
+                   for a in range(max(0, i - deg - rest), min(b, i - deg) + 1)]
+    rows = _basis_index(len(beta), d - i)
+    cols = _basis_index(len(beta), i)
+    return [(rows[gamma], cols[alpha], s) for alpha, gamma, _, s in partial]
+
+
+def _catalecticant_cells(terms, i: int, times):
+    """Each nonzero cell of Cat_i of a form once, as (row, column, value),
+    driven by the form's (exponents, raw coefficient) terms: the term
+    c * x^beta fills row beta - alpha, column alpha with times(c, s) for
+    every alpha <= beta of degree i. Distinct terms reach distinct rows of
+    a column, so the cost is the number of nonzero cells."""
+    for beta, c in terms:
+        for r, col, s in _term_cells(beta, i):
+            yield r, col, times(c, s)
+
+
+def _raw_arith(field: NumberField):
+    """Product, sum, zero test and integer multiple of raw scalars; over a
+    degree-1 field they serve Fractions and plain ints alike."""
+    if field.degree == 1:
+        return operator.mul, operator.add, operator.not_, operator.mul
+    return (field.mul_coords, field.add_coords, field.is_zero_coords,
+            lambda c, s: tuple(x * s for x in c))
+
+
 def catalecticant(f: Poly, i: int) -> Catalecticant:
     if f.is_zero():
         raise ZeroForm("catalecticant of the zero form")
@@ -136,29 +188,13 @@ def catalecticant(f: Poly, i: int) -> Catalecticant:
     if not 0 <= i <= d:
         raise DegreeMismatch(f"catalecticant index {i} outside 0..{d}")
     n = len(f.varset)
-    cols = monomial_basis(n, i)
-    row_index = _basis_index(n, d - i)
     field = f.field
-    rational = field.degree == 1
-    entries = [[field.raw_zero] * len(cols) for _ in range(space_dim(n, d - i))]
-    terms = _poly_raw_terms(f)
-    # each (row, column) cell is reached by at most one term of F
-    for j, alpha in enumerate(cols):
-        for beta, c in terms:
-            scale = 1
-            ok = True
-            for a, b in zip(alpha, beta):
-                if a > b:
-                    ok = False
-                    break
-                if a:
-                    scale *= _falling(b, a)
-            if not ok:
-                continue
-            gamma = tuple(b - a for a, b in zip(alpha, beta))
-            entries[row_index[gamma]][j] = (
-                c * scale if rational else tuple(x * scale for x in c))
-    return Catalecticant(f, i, Matrix(field, len(entries), len(cols), entries))
+    ncols = space_dim(n, i)
+    entries = [[field.raw_zero] * ncols for _ in range(space_dim(n, d - i))]
+    for r, c, v in _catalecticant_cells(_poly_raw_terms(f), i,
+                                        _raw_arith(field)[3]):
+        entries[r][c] = v
+    return Catalecticant(f, i, Matrix(field, len(entries), ncols, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -235,30 +271,32 @@ class GradedIdeal:
         return f"GradedIdeal(D={self.D}, dims={dims})"
 
 
-def _stacked_catalecticants(forms: Sequence[Poly], D: int):
-    """Per degree i = 0..D, the catalecticants Cat_i(g) of the nonzero forms
-    g of degree >= i stacked into one matrix, with no rows where no form
-    reaches i. Its kernel is the degree-i slice of the common annihilator,
-    and its rank the quotient's Hilbert function in degree i."""
-    field, n = forms[0].field, len(forms[0].varset)
+def _nonzero_forms(forms: Sequence[Poly], D: int) -> list[Poly]:
+    """The nonzero forms, checked to share one field and to leave degree D
+    beyond every one of them."""
+    field = forms[0].field
     if any(g.field != field for g in forms):
         raise FieldMismatch("forms over different fields")
     forms = [g for g in forms if not g.is_zero()]
     if forms and D < max(g.degree() for g in forms) + 1:
         raise DegreeMismatch("truncation must reach deg F + 1")
-    for i in range(D + 1):
-        rows = [row for g in forms if g.degree() >= i
-                for row in catalecticant(g, i).matrix.rows]
-        yield Matrix(field, len(rows), space_dim(n, i), rows)
+    return forms
 
 
 def _annihilator(forms: Sequence[Poly], D: int) -> GradedIdeal:
     """The common annihilator of forms in one ring, sliced up to D: in
-    degree i the kernel of the stacked catalecticants, full where no form
-    reaches i."""
-    slices = [kernel(m) if m.nrows else Subspace.full(m.ncols, m.field)
-              for m in _stacked_catalecticants(forms, D)]
-    return GradedIdeal(forms[0].varset, forms[0].field, D, slices)
+    degree i the kernel of the catalecticants Cat_i(g) of the nonzero forms
+    g of degree >= i stacked into one matrix, full where no form reaches i."""
+    varset, field = forms[0].varset, forms[0].field
+    nonzero = _nonzero_forms(forms, D)
+    slices = []
+    for i in range(D + 1):
+        amb = space_dim(len(varset), i)
+        rows = [row for g in nonzero if g.degree() >= i
+                for row in catalecticant(g, i).matrix.rows]
+        slices.append(kernel(Matrix(field, len(rows), amb, rows)) if rows
+                      else Subspace.full(amb, field))
+    return GradedIdeal(varset, field, D, slices)
 
 
 def perp(f: Poly, D: int | None = None) -> GradedIdeal:
@@ -407,6 +445,59 @@ def hf(ideal: GradedIdeal) -> HFProfile:
                            for i in range(ideal.D + 1)))
 
 
+def _integral_terms(g: Poly) -> list[tuple[Exps, object]]:
+    """The raw terms of g; over a degree-1 field scaled by the lcm of the
+    coefficient denominators to plain ints, which scales every catalecticant
+    row of g and leaves its ranks alone."""
+    terms = _poly_raw_terms(g)
+    if g.field.degree != 1:
+        return terms
+    den = lcm(*(c.denominator for _, c in terms))
+    return [(exps, c.numerator * (den // c.denominator)) for exps, c in terms]
+
+
+def _stacked_rank(field: NumberField, forms: Sequence[tuple], i: int) -> int:
+    """rk of Cat_i of the forms of degree >= i stacked, from their nonzero
+    cells, with the zero rows and zero columns left out. forms holds each
+    form's (degree, raw terms)."""
+    times = _raw_arith(field)[3]
+    rows: list[dict] = []
+    used: dict[int, int] = {}
+    for d, terms in forms:
+        if d < i:
+            continue
+        block: dict[int, dict] = {}
+        for r, c, v in _catalecticant_cells(terms, i, times):
+            block.setdefault(r, {})[c] = v
+            used.setdefault(c, len(used))
+        rows += block.values()
+    if not rows:
+        return 0
+    zero = 0 if field.degree == 1 else field.raw_zero
+    dense = []
+    for row in rows:
+        vec = [zero] * len(used)
+        for c, v in row.items():
+            vec[used[c]] = v
+        dense.append(vec)
+    return matrix_rank(Matrix(field, len(dense), len(used), dense))
+
+
+def _catalecticant_ranks(field: NumberField, forms: Sequence[tuple],
+                         D: int) -> list[int]:
+    """rk Cat_i of the forms stacked, i = 0..D, for nonzero forms given as
+    (degree, raw terms). A single form F of degree d has
+    rk Cat_i = rk Cat_(d-i) (the Gorenstein symmetry of T/F_perp: Cat_(d-i)
+    is the transpose of Cat_i up to nonzero row and column scalings), so
+    only the degrees d - i >= d/2 are eliminated, whose catalecticants have
+    no more rows than columns; stacked forms have no such symmetry."""
+    if len(forms) == 1:
+        d = forms[0][0]
+        half = [_stacked_rank(field, forms, d - i) for i in range(d // 2 + 1)]
+        return [half[min(i, d - i)] if i <= d else 0 for i in range(D + 1)]
+    return [_stacked_rank(field, forms, i) for i in range(D + 1)]
+
+
 def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
                      D: int) -> list[HFProfile]:
     """HF of T/(ann(forms) + (t)) in degrees 0..D, one profile per t.
@@ -417,20 +508,41 @@ def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
     forms stacked. The ranks of the forms are taken once for all t, and no
     ideal is built. For the forms g o F over the generators g of I this is
     T/((F_perp : I) + (t)).
-    """
-    def ranks(fs, top):
-        return [matrix_rank(m) if m.nrows else 0
-                for m in _stacked_catalecticants(fs, top)]
 
-    base = ranks(forms, D)
+    Over a degree-1 field every form and every t is scaled to integer
+    coefficients, which scales whole catalecticant rows and keeps every
+    rank; t o g is contracted on those integers, and the catalecticants go
+    to fraction-free elimination as integer rows built from their nonzero
+    cells. Where one nonzero form is ranked (a principal I, or the form
+    t o F) only half of its degrees are eliminated; the rest follow by
+    symmetry.
+    """
+    nonzero = _nonzero_forms(forms, D)
+    field = forms[0].field
+
+    def blocks(fld):
+        return [(g.degree(), _integral_terms(g.lift(fld))) for g in nonzero]
+
+    base_forms = blocks(field)
+    base = _catalecticant_ranks(field, base_forms, D)
     out = []
     for t in ts:
         if t.varset != forms[0].varset:
             raise AmbientMismatch("t lives over a different variable set")
         e = t.degree()
-        shifted = ranks([apolar_action(t, g) for g in forms], D - e)
+        # apolar_action's rule: a rational side is lifted to the other's field
+        fld = field if t.field.is_rationals() else t.field
+        t_terms = _integral_terms(t.lift(fld))
+        mul, add, is_zero, times = _raw_arith(fld)
+        shifted = []
+        for d, g_terms in base_forms if fld == field else blocks(fld):
+            tg = _contract_raw(t_terms, g_terms, mul, add, times)
+            terms = [(gamma, c) for gamma, c in tg.items() if not is_zero(c)]
+            if terms:
+                shifted.append((d - e, terms))
+        ranks = _catalecticant_ranks(fld, shifted, D - e)
         out.append(HFProfile(tuple(
-            v - (shifted[i - e] if i >= e else 0)
+            v - (ranks[i - e] if i >= e else 0)
             for i, v in enumerate(base))))
     return out
 
@@ -478,18 +590,41 @@ def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
             raise DuplicatePoint(f"point ({', '.join(str(v) for v in q)}) repeats")
         seen.add(key)
         norm.append(q)
+    mul = _raw_arith(field)[0]
+    if field.degree == 1:
+        # an integer multiple of a point scales each evaluation row and
+        # keeps every kernel, so the rows are built from integer points
+        one = 1
+        raw_points = []
+        for q in norm:
+            den = lcm(*(v.coords[0].denominator for v in q))
+            raw_points.append([v.coords[0].numerator
+                               * (den // v.coords[0].denominator) for v in q])
+    else:
+        one = field.raw_one
+        raw_points = [[v.coords for v in q] for q in norm]
+    # powers 0..D of every coordinate of every point
+    tables = []
+    for p in raw_points:
+        table = []
+        for v in p:
+            powers = [one]
+            for _ in range(D):
+                powers.append(mul(powers[-1], v))
+            table.append(powers)
+        tables.append(table)
     slices = []
     for i in range(D + 1):
         basis = monomial_basis(n, i)
         rows = []
-        for q in norm:
+        for table in tables:
             row = []
             for exps in basis:
-                acc = field.one
-                for v, e in zip(q, exps):
+                acc = one
+                for powers, e in zip(table, exps):
                     if e:
-                        acc = acc * (v ** e)
-                row.append(field.to_raw(acc))
+                        acc = mul(acc, powers[e])
+                row.append(acc)
             rows.append(row)
         slices.append(kernel(Matrix(field, len(rows), len(basis), rows)))
     return GradedIdeal(varset, field, D, slices)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .apolar import HFProfile, hf, minimal_generators, perp
@@ -871,21 +871,41 @@ def _vandermonde_engine(f, match, seed, e):
                           (res.citation,), lambda: (cert, {1: ((t,), t)}))
 
 
+def _on_form(res: XaSumBResult, f: Poly, index_map) -> XaSumBResult:
+    """res, computed on build_xa_sum_b's ring, moved onto F: the form
+    itself, and the witness generators, t and points with canonical
+    variable k sent to F's variable index_map[k]."""
+    def embed(g):
+        return embed_in_varset(g, f.varset, index_map)
+
+    lower = replace(res.lower, gens=tuple(embed(g) for g in res.lower.gens),
+                    t=embed(res.lower.t))
+    upper = res.upper
+    if upper is not None:
+        points = []
+        for p in upper.points:
+            point = [upper.field.zero] * len(f.varset)
+            for k, v in zip(index_map, p):
+                point[k] = v
+            points.append(tuple(point))
+        upper = replace(upper, points=tuple(points))
+    return replace(res, form=f, lower=lower, upper=upper)
+
+
 def _xa_sum_b_engine(f, match, seed, e):
     a, b, n = (match.parameters[k] for k in ("a", "b", "n"))
-    res = xa_sum_b_rank(a, b, n, plus_power=match.tag == "XaSumBPlusPower",
-                        seed=seed)
+    # build_xa_sum_b's x0 is the pivot of F, its x1..xn F's other
+    # variables in order
+    pivot = match.parameters["pivot"]
+    index_map = [pivot] + [i for i in f.support_vars() if i != pivot]
+    res = _on_form(xa_sum_b_rank(a, b, n, seed=seed,
+                                 plus_power=match.tag == "XaSumBPlusPower"),
+                   f, index_map)
     cert = _block_certificate(f, res, res.citations[0])
     options = {}
     if res.rank is not None and res.regime != "open":
-        # only these regimes carry an engine witness reaching the rank; it
-        # lives on build_xa_sum_b's ring, whose x0 is the pivot of F and
-        # whose x1..xn are F's other variables in order
-        pivot = match.parameters["pivot"]
-        index_map = [pivot] + [i for i in f.support_vars() if i != pivot]
-        gens = tuple(embed_in_varset(g, f.varset, index_map)
-                     for g in res.lower.gens)
-        options[1] = (gens, embed_in_varset(res.lower.t, f.varset, index_map))
+        # only these regimes carry an engine witness reaching the rank
+        options[1] = (res.lower.gens, res.lower.t)
     return FamilyAnalysis(match.tag, res.interval, res, res.citations,
                           lambda: (cert, options))
 

@@ -66,17 +66,48 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+_INT = {int}
+
+
 def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Each row scaled to coprime integers, spanning the same lines."""
+    """Each row scaled to coprime integers, spanning the same lines. Rows
+    of ints are only divided by their content."""
     mat: list[list[int]] = []
     for row in rows:
-        den = lcm(*(c.denominator for c in row))
-        ints = [c.numerator * (den // c.denominator) for c in row]
+        if set(map(type, row)) == _INT:
+            ints = list(row)
+        else:
+            den = lcm(*(c.denominator for c in row))
+            ints = [c.numerator * (den // c.denominator) for c in row]
         g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         mat.append(ints)
     return mat
+
+
+def _bareiss_step(row: list[int], start: int, pivot_row: list[int],
+                  prev: int, c: int | None = None) -> None:
+    """One fraction-free update of row from column start on:
+    row <- (piv * row - row[c] * pivot_row) / prev, every division checked
+    exact. pivot_row is aligned with row[start:] and piv is its entry in
+    column c (default start). A row with no entry in column c is only
+    rescaled. Dividing by prev = 1 needs no check, and content-1 rows
+    (see _integer_rows) make that the common case."""
+    c = start if c is None else c
+    f = row[c]
+    piv = pivot_row[c - start]
+    tail = row[start:] if start else row
+    if prev == 1:
+        if f:
+            row[start:] = [piv * a - f * b for a, b in zip(tail, pivot_row)]
+        elif piv != 1:
+            row[start:] = [piv * a for a in tail]
+    elif f:
+        row[start:] = [_exact_div(piv * a - f * b, prev)
+                       for a, b in zip(tail, pivot_row)]
+    elif prev != piv:
+        row[start:] = [_exact_div(piv * a, prev) for a in tail]
 
 
 def _rank_q(rows: list[list[Fraction]]) -> int:
@@ -96,12 +127,7 @@ def _rank_q(rows: list[list[Fraction]]) -> int:
         rest = mat.pop(p)[c:]
         piv = rest[0]
         for row in mat:
-            f = row[c]
-            if f:
-                row[c:] = [_exact_div(piv * a - f * b, prev)
-                           for a, b in zip(row[c:], rest)]
-            elif prev != piv:
-                row[c:] = [_exact_div(piv * a, prev) for a in row[c:]]
+            _bareiss_step(row, c, rest, prev)
         prev = piv
         rank += 1
         if not mat:
@@ -125,15 +151,8 @@ def _rref_q(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]
         piv_row = mat[r]
         piv = piv_row[c]
         for i in range(nrows):
-            if i == r:
-                continue
-            row = mat[i]
-            f = row[c]
-            if f:
-                row[:] = [_exact_div(piv * a - f * b, prev)
-                          for a, b in zip(row, piv_row)]
-            elif prev != piv:
-                row[:] = [_exact_div(piv * a, prev) for a in row]
+            if i != r:
+                _bareiss_step(mat[i], 0, piv_row, prev, c)
         prev = piv
         pivots.append(c)
         r += 1

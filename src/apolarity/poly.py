@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -82,13 +82,6 @@ def monomial_basis(nvars: int, degree: int) -> list[Exps]:
 def space_dim(nvars: int, degree: int) -> int:
     """Dimension of the degree piece: C(nvars - 1 + degree, degree)."""
     return comb(nvars - 1 + degree, degree)
-
-
-def _falling(b: int, a: int) -> int:
-    out = 1
-    for j in range(a):
-        out *= b - j
-    return out
 
 
 def _multinomial(d: int, exps: Exps) -> int:
@@ -375,24 +368,37 @@ def apolar_action(g: Poly, f: Poly) -> Poly:
             f = f.lift(g.field)
         else:
             raise FieldMismatch("apolar action across different extensions")
-    terms: dict[Exps, FieldElement] = {}
-    for a, ca in g.terms.items():
-        for b, cb in f.terms.items():
+    field = f.field
+    terms = _contract_raw([(a, c.coords) for a, c in g.terms.items()],
+                          [(b, c.coords) for b, c in f.terms.items()],
+                          field.mul_coords, field.add_coords,
+                          lambda c, s: tuple(x * s for x in c))
+    return Poly(f.varset, {exps: FieldElement(field, c)
+                           for exps, c in terms.items()}, field)
+
+
+def _contract_raw(g_terms, f_terms, mul, add, times) -> dict:
+    """The apolar action on (exponents, scalar) term lists: the dict
+    exponents -> coefficient of g o f, zero coefficients included. mul and
+    add combine two scalars, times(c, s) multiplies one by an int, so the
+    scalars may be coordinate tuples, Fractions or plain ints."""
+    out: dict = {}
+    for a, ca in g_terms:
+        for b, cb in f_terms:
             scale = 1
-            ok = True
             for ai, bi in zip(a, b):
                 if ai > bi:
-                    ok = False
                     break
                 if ai:
-                    scale *= _falling(bi, ai)
-            if not ok:
-                continue
-            exps = tuple(bi - ai for ai, bi in zip(a, b))
-            c = ca * cb * scale
-            acc = terms.get(exps)
-            terms[exps] = c if acc is None else acc + c
-    return Poly(f.varset, terms, f.field)
+                    scale *= perm(bi, ai)
+            else:
+                exps = tuple(bi - ai for ai, bi in zip(a, b))
+                c = mul(ca, cb)
+                if scale != 1:
+                    c = times(c, scale)
+                acc = out.get(exps)
+                out[exps] = c if acc is None else add(acc, c)
+    return out
 
 
 def power_of_linear(linear: Poly, d: int) -> Poly:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -27,7 +28,8 @@ from apolarity.errors import (
     ZeroForm,
 )
 from apolarity.fields import QQ, cyclotomic_field
-from apolarity.linalg import Matrix, Subspace, matrix_rank, subspace_intersect
+from apolarity.linalg import (Matrix, Subspace, kernel, matrix_rank,
+                              subspace_intersect)
 from apolarity.poly import Poly, VarSet, apolar_action, monomial_basis, space_dim
 
 from conftest import naive_kernel, naive_rref, span_rref
@@ -56,20 +58,66 @@ def raw_rows(sub):
     return [list(r) for r in sub.rows]
 
 
+def _sparse_form(vs, degree, rng, field, coeffs):
+    """A seeded form with a few terms; over an extension every coefficient
+    is c + c' * zeta."""
+    basis = monomial_basis(len(vs), degree)
+    terms = {}
+    for exps in rng.sample(basis, min(len(basis), rng.randint(1, 6))):
+        c = field.from_rational(rng.choice(coeffs))
+        if not field.is_rationals():
+            c = c + field.gen() * rng.choice(coeffs)
+        if c:
+            terms[exps] = c
+    if not terms:
+        terms[basis[0]] = field.one
+    return Poly(vs, terms, field)
+
+
+def _contraction_entry(alpha, beta):
+    """X^alpha o x^beta = prod beta_k! / (beta_k - alpha_k)! x^(beta-alpha),
+    zero unless alpha <= beta: from factorials, not from the package."""
+    if any(a > b for a, b in zip(alpha, beta)):
+        return 0
+    out = 1
+    for a, b in zip(alpha, beta):
+        out *= factorial(b) // factorial(b - a)
+    return out
+
+
 def test_catalecticant_matches_contraction_oracle():
+    # dense and sparse forms in 2-5 variables with fractional coefficients,
+    # over QQ and Q(zeta_5): every entry is the coefficient of x^gamma in
+    # x^alpha's contraction
     rng = random.Random(11)
-    for _ in range(6):
-        f = random_form(V3, 4, rng)
-        d = f.degree()
+    coeffs = (Fraction(-5, 7), Fraction(1, 3), 2, -1, Fraction(9, 4))
+    forms = []
+    for field in (QQ, cyclotomic_field(5)):
+        forms += [random_form(V3, 4, rng).lift(field) for _ in range(2)]
+        for n in (2, 3, 4, 5):
+            vs = VarSet(tuple(f"x{k}" for k in range(n)))
+            for _ in range(3):
+                forms.append(_sparse_form(vs, rng.randint(1, 5), rng, field,
+                                          coeffs))
+    for f in forms:
+        field = f.field
+        n, d = len(f.varset), f.degree()
         for i in range(d + 1):
             cat = catalecticant(f, i)
+            rows, cols = monomial_basis(n, d - i), monomial_basis(n, i)
+            assert (cat.matrix.nrows, cat.matrix.ncols) == (len(rows),
+                                                            len(cols))
             entries = cat.matrix.vectors()
-            cols = monomial_basis(3, i)
-            for j, alpha in enumerate(cols):
-                g = apolar_action(mono(V3, alpha), f)
-                vec = g.to_vector(d - i)
-                for r in range(cat.matrix.nrows):
-                    assert entries[r][j] == vec[r]
+            for r, gamma in enumerate(rows):
+                for j, alpha in enumerate(cols):
+                    beta = tuple(a + g for a, g in zip(alpha, gamma))
+                    c = f.terms.get(beta, field.zero)
+                    assert entries[r][j] == c * _contraction_entry(alpha,
+                                                                   beta)
+            # the raw entries keep the field's raw format
+            raw = field.raw_zero
+            assert all(type(v) is type(raw) for row in cat.matrix.rows
+                       for v in row)
 
 
 def test_catalecticant_rank_equals_hf():
@@ -365,6 +413,58 @@ def test_points_ideal_profiles_and_errors():
         points_ideal([(0, 0, 0)], V3, 2)
     with pytest.raises(AmbientMismatch):
         points_ideal([(1, 0)], V3, 2)
+
+
+def _evaluation_kernels(points, vs, D, field):
+    """Slices of a point ideal as kernels of evaluation matrices built one
+    FieldElement product at a time, the points taken as given (not
+    normalized, not scaled to integers)."""
+    out = []
+    for i in range(D + 1):
+        basis = monomial_basis(len(vs), i)
+        rows = []
+        for p in points:
+            row = []
+            for exps in basis:
+                acc = field.one
+                for v, e in zip(p, exps):
+                    for _ in range(e):
+                        acc = acc * v
+                row.append(acc)
+            rows.append(row)
+        out.append(kernel(Matrix.from_rows(rows, field, len(basis))))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, cyclotomic_field(5)],
+                         ids=["QQ", "Qzeta5"])
+def test_points_ideal_slices_equal_evaluation_kernels(field):
+    # fractional, unnormalized and (over Q(zeta_5)) irrational points: the
+    # slices equal the kernels of evaluation rows of the points as given
+    rng = random.Random(5)
+    vs = VarSet(("x0", "x1", "x2"))
+    z = field.gen()
+    checked = 0
+    for _ in range(6):
+        size = rng.randint(2, 7)
+        pts = set()
+        while len(pts) < size:
+            p = [field.from_rational(Fraction(rng.randint(-4, 4),
+                                              rng.randint(1, 5)))
+                 for _ in range(3)]
+            if not field.is_rationals():
+                p[rng.randrange(3)] += z * rng.randint(-2, 2)
+            if any(p):
+                pts.add(tuple(v * field.from_rational(rng.choice((1, 3, -2)))
+                              for v in p))
+        pts = sorted(pts, key=str)
+        try:
+            ideal = points_ideal(pts, vs, 4, field)
+        except DuplicatePoint:
+            continue
+        assert ideal.slices == _evaluation_kernels(pts, vs, 4, field)
+        checked += 1
+    assert checked >= 4
 
 
 def test_points_ideal_extension_field():

@@ -277,6 +277,46 @@ def test_strassen_xa_sum_b_block_with_its_own_names(capsys, form, canonical,
     assert got["summands"][0]["certificate"]["t"] == names[0]
 
 
+@pytest.mark.parametrize("form, canonical, names", [
+    ("x*(y^3+z^3)", "x0*(x1^3+x2^3)", "xyz"),
+    ("y*(x^3+z^3)", "x0*(x1^3+x2^3)", "yxz"),
+    # certified by explicit points
+    ("u^2*(v^2+w^2+s^2)", "x0^2*(x1^2+x2^2+x3^2)", "uvws"),
+])
+def test_rank_xa_sum_b_with_its_own_names(capsys, form, canonical, names):
+    from apolarity.parser import parse_poly
+
+    assert go(["rank", form], capsys) == go(["rank", canonical], capsys)
+    code, out, _ = go(["rank", form, "--json"], capsys)
+    want = json.loads(go(["rank", canonical, "--json"], capsys)[1])
+    got = json.loads(out)
+    assert code == 0
+    assert got.pop("form") == str(parse_poly(form))
+    want.pop("form")
+    assert got == _renamed(want, names)
+
+
+def test_rank_xa_sum_b_points_decompose_the_input_form():
+    # the pivot y is not the first variable: the witness and the points
+    # are moved onto x, y, z, and the points decompose the form as given
+    from apolarity.families import analyze
+    from apolarity.parser import parse_poly
+    from apolarity.poly import Poly, linear_form, power_of_linear
+
+    f = parse_poly("x^2*y^2 + y^2*z^2")
+    res = analyze(f).result
+    assert res.form == f
+    assert [str(g) for g in res.lower.gens] == ["x", "z"]
+    upper = res.upper
+    total = Poly.zero(f.varset, upper.field)
+    for point, c in zip(upper.points, upper.coefficients):
+        power = power_of_linear(linear_form(f.varset, point, upper.field), 4)
+        total = total + Poly(f.varset, {e: v * c
+                                        for e, v in power.terms.items()},
+                             upper.field)
+    assert total == f.lift(upper.field)
+
+
 def test_internal_self_check_is_one_error_line(capsys, monkeypatch):
     from apolarity import families
 

@@ -3,7 +3,8 @@
 Each case pins the text answer and the exit code, and the sha256 of the
 --json answer. The values were recorded before `rank` and `strassen` were
 moved onto the shared engine table in `families.analyze`, so they hold the
-two verbs to their earlier output.
+two verbs to their earlier output; the renamed XaSumB form was recorded
+when `rank --json` began to report such forms in their own variables.
 """
 
 import hashlib
@@ -32,6 +33,10 @@ RANK = [
      "d0739ceb2a75b4d2979d5b5b8057bb3f72f7b9c526e4e306285fca93b47263c1"),
     ("x0*x1^2*x2^2", 0, "rank = 9 (monomial, certified)\n",
      "7b18d0207d7987721aa4ad65dbcf3a4357395d2d17a24c22833ef517837ccf16"),
+    # an XaSumB form not named x0..xn: --json reports the input form and
+    # its own variables in the witness
+    ("y*(x^3+z^3)", 0, "rank = 6 (power-times-sum, certified)\n",
+     "301b238620d0f46e72a81b9112d82f5d2c5f15264fd4f773ffd57c686347fd8f"),
 ]
 
 STRASSEN = [

@@ -65,6 +65,30 @@ class TestRref:
         assert matrix_rank(q_matrix([[1, 2], [2, 4], [0, 1]])) == 2
         assert matrix_rank(q_matrix([[0, 0], [0, 0]])) == 0
 
+    def test_integer_rows_divide_out_the_content(self):
+        # elimination starts from coprime integer rows whatever the raw
+        # format, int, Fraction or mixed, so Bareiss divisors stay small
+        from apolarity.linalg import _integer_rows
+
+        rows = [[6, -4, 0, 10], [Fraction(3, 4), Fraction(-1, 2), 0, 1],
+                [0, 0, 0, 0], [Fraction(7), 14, 0, 21]]
+        got = _integer_rows(rows)
+        assert got == [[3, -2, 0, 5], [3, -2, 0, 4], [0, 0, 0, 0],
+                       [1, 2, 0, 3]]
+        assert all(type(v) is int for row in got for v in row)
+        assert rows[0] == [6, -4, 0, 10]
+
+    def test_rank_of_int_rows_matches_fraction_rows(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            ncols = rng.randint(1, 6)
+            rows = [[rng.randint(-3, 3) * rng.choice((1, 2, 6))
+                     for _ in range(ncols)] for _ in range(rng.randint(1, 6))]
+            if len(rows) >= 2:
+                rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+            ints = Matrix(QQ, len(rows), ncols, [list(r) for r in rows])
+            assert matrix_rank(ints) == matrix_rank(q_matrix(rows))
+
 
 class TestKernel:
     def test_kernel_vectors_annihilate(self):

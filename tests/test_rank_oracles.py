@@ -15,7 +15,7 @@ import pytest
 from apolarity.apolar import (add_principal, catalecticant, colon_by_ideal,
                               hf, minimal_generators, perp, principal_sum_hf)
 from apolarity.bounds import linear_candidate_analysis, lower_bound
-from apolarity.errors import AmbientMismatch
+from apolarity.errors import AmbientMismatch, DegreeMismatch
 from apolarity.fields import QQ, cyclotomic_field
 from apolarity.linalg import Matrix, matrix_rank
 from apolarity.parser import parse_poly
@@ -183,6 +183,78 @@ def test_principal_sum_hf_matches_sympy_ranks():
         want = tuple(ranks(forms, i) - (ranks(tforms, i - e) if i >= e else 0)
                      for i in range(D + 1))
         assert principal_sum_hf(forms, [t], D)[0].values == want
+
+
+def _fraction_rank(forms, i):
+    """rk of the stacked Cat_i of the nonzero forms of degree >= i, from
+    catalecticant()'s own Fraction rows."""
+    rows = [r for g in forms if not g.is_zero() and g.degree() >= i
+            for r in catalecticant(g, i).matrix.rows]
+    return matrix_rank(Matrix(QQ, len(rows), len(rows[0]), rows)) if rows \
+        else 0
+
+
+def _fractional_form(vs, degree, rng):
+    """A seeded form with denominators, dense or sparse."""
+    coeffs = (Fraction(-5, 7), Fraction(1, 3), Fraction(7, 2), 1, -2)
+    density = rng.choice((0.25, 0.6, 1.0))
+    terms = {exps: rng.choice(coeffs)
+             for exps in monomial_basis(len(vs), degree)
+             if rng.random() < density}
+    return Poly(vs, terms or {(degree,) + (0,) * (len(vs) - 1):
+                              Fraction(3, 5)})
+
+
+def test_principal_sum_hf_matches_fraction_catalecticant_ranks():
+    # integer rows, nonzero cells and the one-form symmetry against
+    # differences of ranks of catalecticant()'s Fraction matrices
+    rng = random.Random(97)
+    cases = []
+    for _ in range(14):
+        vs = rng.choice((V2, V3, V4))
+        d = rng.randint(3, 6 if vs is V2 else 5)
+        e = rng.randint(1, 3)
+        f = _fractional_form(vs, d, rng)
+        gens = [_fractional_form(vs, e, rng)
+                for _ in range(rng.randint(1, 4))]
+        cases.append(([apolar_action(g, f) for g in gens], gens[0], e, d))
+    # t o G = 0 and G = 0: x^3*y is killed by Y^2, and Z kills it
+    g = mono(V3, (3, 1, 0), Fraction(-5, 7))
+    y2, z = mono(V3, (0, 2, 0), Fraction(1, 3)), mono(V3, (0, 0, 1))
+    cases += [([g], y2, 2, 4), ([g, g.scale(Fraction(1, 3))], y2, 2, 4),
+              ([apolar_action(z, g)], z, 1, 4), ([g], z, 1, 4)]
+    stacked = symmetric = killed = 0
+    for forms, t, e, d in cases:
+        D = d + 1
+        tforms = [apolar_action(t, g) for g in forms]
+        want = tuple(_fraction_rank(forms, i)
+                     - (_fraction_rank(tforms, i - e) if i >= e else 0)
+                     for i in range(D + 1))
+        assert principal_sum_hf(forms, [t], D)[0].values == want
+        live = [g for g in forms if not g.is_zero()]
+        stacked += len(live) > 1
+        symmetric += len(live) == 1
+        killed += all(g.is_zero() for g in tforms)
+        if live:
+            # the truncation must reach the top degree + 1
+            with pytest.raises(DegreeMismatch):
+                principal_sum_hf(forms, [t], max(g.degree() for g in live))
+    assert stacked >= 4 and symmetric >= 4 and killed >= 2
+
+
+def test_single_form_catalecticant_ranks_are_symmetric():
+    # rk Cat_i(F) = rk Cat_(d-i)(F), the Gorenstein symmetry of T/F_perp
+    rng = random.Random(61)
+    for field in (QQ, cyclotomic_field(5)):
+        for _ in range(10):
+            vs = rng.choice((V2, V3, V4))
+            d = rng.randint(1, 6 if vs is V2 else 5)
+            f = (_fractional_form(vs, d, rng) if field is QQ
+                 else random_form(vs, d, rng, field,
+                                  density=rng.choice((0.3, 0.8))))
+            ranks = [matrix_rank(catalecticant(f, i).matrix)
+                     for i in range(d + 1)]
+            assert ranks == ranks[::-1], (f, ranks)
 
 
 # -- certified ranks against the Ranestad-Schreyer bound
