@@ -57,13 +57,13 @@ from .errors import (
 )
 from .fields import QQ, FieldElement, NumberField
 from .linalg import Matrix, Subspace, kernel, matrix_rank
-from .poly import (Exps, Poly, VarSet, _contract_raw, apolar_action,
-                   monomial_basis, space_dim)
+from .poly import (Exps, Poly, VarSet, _basis, _contract_raw, apolar_action,
+                   space_dim)
 
 
 @lru_cache(maxsize=None)
 def _basis_index(nvars: int, degree: int) -> dict:
-    return {m: j for j, m in enumerate(monomial_basis(nvars, degree))}
+    return {m: j for j, m in enumerate(_basis(nvars, degree))}
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +72,7 @@ def _shift_map(nvars: int, degree: int, alpha: Exps) -> tuple[int, ...]:
     target = _basis_index(nvars, degree + sum(alpha))
     return tuple(
         target[tuple(a + b for a, b in zip(m, alpha))]
-        for m in monomial_basis(nvars, degree)
+        for m in _basis(nvars, degree)
     )
 
 
@@ -97,7 +97,7 @@ def _poly_sparse_vector(f: Poly, degree: int) -> dict:
 
 def _sparse_row_poly(varset: VarSet, field: NumberField, degree: int,
                      row: dict) -> Poly:
-    basis = monomial_basis(len(varset), degree)
+    basis = _basis(len(varset), degree)
     return Poly(varset, {basis[j]: field.from_raw(row[j]) for j in sorted(row)},
                 field)
 
@@ -615,7 +615,7 @@ def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
         tables.append(table)
     slices = []
     for i in range(D + 1):
-        basis = monomial_basis(n, i)
+        basis = _basis(n, i)
         rows = []
         for table in tables:
             row = []

@@ -6,12 +6,18 @@ certified result, 2 for bounds-only or conditional results, 3 for refuted
 or refused checks, 1 for usage and input errors, 4 for a failed internal
 self-check (an ArithmeticError, reported as one line). Output carries no color
 codes, so NO_COLOR needs no special handling. `rank` renders the record of
-families.analyze without looking at the family tag.
+families.analyze without looking at the family tag. --vars must list
+distinct valid names; any other list is an input error (exit code 1).
+
+The argument parser is built on the first call and shared by every later
+`run` in the process; each call parses into a fresh namespace, and help is
+laid out (COLUMNS read) when it is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -215,7 +221,7 @@ def _cmd_certify(args):
 
 def _cmd_rank(args):
     f, _, _ = _load_form(args)
-    found = analyze(f, seed=args.seed, e=args.e or 1)
+    found = analyze(f, seed=args.seed, e=1 if args.e is None else args.e)
     label = FAMILY_LABEL[found.tag]
     data = {"module": "families", "form": str(f), "family": label}
     data.update(found.result.as_dict())
@@ -326,7 +332,9 @@ class _Argv(argparse.ArgumentParser):
         raise ParseError(message, 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--vars", help="comma-separated variable order")
     shared.add_argument("--ext", help="extension field, 'name: polynomial'")

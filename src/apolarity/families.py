@@ -44,8 +44,8 @@ from .errors import (
 from .fields import (QQ, NumberField, cyclotomic, cyclotomic_field,
                      root_of_unity, roots_of_unity, squarefree_check,
                      squarefree_decomposition, uni_degree, uni_eval, uni_trim)
-from .poly import (Poly, VarSet, _multinomial, apolar_action, embed_in_varset,
-                   monomial_basis, restrict_to_vars)
+from .poly import (Poly, VarSet, _basis, _multinomial, apolar_action,
+                   embed_in_varset, restrict_to_vars)
 
 MONOMIAL_CITATION = (
     "rk(x0^a0*...*xn^an) = prod_{i>=1}(a_i+1) when 0 < a0 <= a_i for all i; "
@@ -368,7 +368,7 @@ def _check_closed_form(a, m: int, points, weights, denom: int) -> None:
     phi = [int(c) for c in cyclotomic(m)]
     n = len(phi) - 1
     cols = list(zip(*points))
-    for b in monomial_basis(len(a), d):
+    for b in _basis(len(a), d):
         acc = weights
         for bi, col in zip(b, cols):
             if bi:

@@ -213,9 +213,13 @@ def parse_poly(text: str, varnames=None, field=None,
         if not names:
             names = ["x"]
         varset = VarSet(tuple(names))
+    elif isinstance(varnames, VarSet):
+        varset = varnames
     else:
-        varset = varnames if isinstance(varnames, VarSet) \
-            else VarSet(tuple(varnames))
+        try:
+            varset = VarSet(tuple(varnames))
+        except ValueError as err:
+            raise ParseError(str(err), 0) from None
     parser = _Parser(tokens, varset, field, gen_name, alias)
     out = parser.expr()
     parser.take("end")

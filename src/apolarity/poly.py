@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, perm
 from typing import Iterable, Sequence, Union
 
@@ -62,8 +63,9 @@ class VarSet:
         return self._index[name]
 
 
-def monomial_basis(nvars: int, degree: int) -> list[Exps]:
-    """All exponent tuples of the given total degree, lex descending."""
+@lru_cache(maxsize=None)
+def _basis(nvars: int, degree: int) -> tuple[Exps, ...]:
+    """The monomial basis as a shared tuple, built once per (nvars, degree)."""
     if nvars < 1 or degree < 0:
         raise ValueError("need nvars >= 1 and degree >= 0")
     out: list[Exps] = []
@@ -76,7 +78,12 @@ def monomial_basis(nvars: int, degree: int) -> list[Exps]:
             rec(prefix + (e,), remaining_vars - 1, remaining_deg - e)
 
     rec((), nvars, degree)
-    return out
+    return tuple(out)
+
+
+def monomial_basis(nvars: int, degree: int) -> list[Exps]:
+    """All exponent tuples of the given total degree, lex descending."""
+    return list(_basis(nvars, degree))
 
 
 def space_dim(nvars: int, degree: int) -> int:
@@ -144,7 +151,7 @@ class Poly:
     @classmethod
     def from_vector(cls, varset: VarSet, degree: int, vector: Sequence,
                     field: NumberField = QQ) -> "Poly":
-        basis = monomial_basis(len(varset), degree)
+        basis = _basis(len(varset), degree)
         if len(vector) != len(basis):
             raise ValueError("vector length does not match the monomial basis")
         return cls(varset, dict(zip(basis, vector)), field)
@@ -188,7 +195,7 @@ class Poly:
         if any(sum(e) != d for e in self.terms):
             raise NonHomogeneous("vectorization needs a single degree")
         zero = self.field.zero
-        return [self.terms.get(m, zero) for m in monomial_basis(len(self.varset), d)]
+        return [self.terms.get(m, zero) for m in _basis(len(self.varset), d)]
 
     # -- ring operations
 
@@ -423,7 +430,7 @@ def power_of_linear(linear: Poly, d: int) -> Poly:
                 table.append(table[-1] * base)
         tables.append(table)
     terms: dict[Exps, FieldElement] = {}
-    for exps in monomial_basis(n, d):
+    for exps in _basis(n, d):
         if any(e and table is None for table, e in zip(tables, exps)):
             continue
         c = None

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from apolarity import cli
 from apolarity.cli import run
 
 
@@ -374,3 +378,83 @@ def test_error_line_uses_the_class_origin(capsys):
     code, _, err = go(["lb", "x^2", "--ideal", "Y"], capsys)
     assert (code, err) == (1, "error: parser.UnknownVariable: variable 'Y' "
                               "is not in the variable set ['x']\n")
+
+
+# -- one parser per process
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def fresh(argv, columns=80):
+    """The same call in a new `python -m apolarity.cli` process."""
+    env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": str(columns)}
+    proc = subprocess.run([sys.executable, "-m", "apolarity.cli", *argv],
+                          env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_is_built_on_first_use_and_kept():
+    probe = ("import apolarity.cli as c; "
+             "print(c.build_parser.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("invalid, valid", [
+    (["rank"], ["rank", "x0*x1^4*x2^5"]),
+    (["rank", "x^2*y", "--seed", "one"], ["rank", "x^2*y", "--json"]),
+    (["nosuchverb", "x"], ["hf", "x0^2*x1"]),
+    (["hf", "x0^2 + x1"], ["gens", "x0^3 + x1^3"]),
+])
+def test_shared_parser_answers_like_fresh_processes(capsys, monkeypatch,
+                                                    invalid, valid):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = [go(invalid, capsys), go(valid, capsys)]
+    assert got == [fresh(invalid), fresh(valid)]
+    assert got[0][:2] == (1, "") and got[0][2].count("\n") == 1
+    assert got[1][0] == 0 and got[1][2] == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["rank", "--help"], []])
+def test_help_is_the_same_bytes_on_every_call(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    first, second = go(argv, capsys), go(argv, capsys)
+    assert first == second == fresh(argv)
+    assert first[0] == (1 if not argv else 0)
+    assert first[1].startswith("usage: apolarity")
+
+
+def test_help_width_follows_columns_at_print_time(capsys, monkeypatch):
+    pages = {}
+    for columns in (40, 120):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        pages[columns] = go(["rank", "--help"], capsys)
+        assert pages[columns] == fresh(["rank", "--help"], columns)
+    assert pages[40][1] != pages[120][1]
+    assert pages[40][1].count("\n") > pages[120][1].count("\n")
+
+
+# -- input errors
+
+@pytest.mark.parametrize("names, message", [
+    ("x,x", "variable names must be distinct"),
+    (",", "a variable set needs at least one name"),
+    ("1x", "invalid variable name '1x'"),
+])
+@pytest.mark.parametrize("verb", ["rank", "perp", "cat"])
+def test_bad_variable_list_is_one_error_line(capsys, verb, names, message):
+    argv = [verb, "x^2*y", "--vars", names, "--e", "1"]
+    assert go(argv, capsys) == (
+        1, "", f"error: parser.ParseError: {message} (at position 0)\n")
+
+
+def test_rank_e_zero_is_refused(capsys):
+    code, out, err = go(["rank", "x^2*y^3", "--e", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bounds.EOutOfRange:")
+    assert err.count("\n") == 1
+    assert go(["rank", "x^2*y^3", "--e", "1"], capsys)[0] == 0

@@ -6,6 +6,7 @@ from apolarity.errors import NonHomogeneous, VarSetMismatch, ZeroForm
 from apolarity.fields import QQ, NumberField, cyclotomic_field, root_of_unity
 from apolarity.poly import (
     Poly,
+    _basis,
     VarSet,
     apolar_action,
     embed_in_varset,
@@ -30,6 +31,16 @@ class TestBasics:
         assert monomial_basis(2, 2) == [(2, 0), (1, 1), (0, 2)]
         assert monomial_basis(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         assert len(monomial_basis(3, 4)) == space_dim(3, 4) == 15
+
+    def test_monomial_basis_is_a_fresh_list_over_the_cached_basis(self):
+        first = monomial_basis(2, 2)
+        first.append((9, 9))
+        assert monomial_basis(2, 2) == [(2, 0), (1, 1), (0, 2)]
+        assert monomial_basis(2, 2) is not monomial_basis(2, 2)
+        assert _basis(2, 2) is _basis(2, 2)
+        assert list(_basis(4, 3)) == monomial_basis(4, 3)
+        with pytest.raises(ValueError):
+            monomial_basis(0, 2)
 
     def test_degree_and_homogeneity(self):
         f = P(V2, {(2, 0): 1, (0, 2): -1})
