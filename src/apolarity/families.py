@@ -956,7 +956,10 @@ def analyze(f: Poly, seed: int = 0, e: int = 1) -> FamilyAnalysis:
     """Classify F and run the engine of its family once.
 
     seed drives the generic draws of t, and e is the colon degree of the
-    monomial certificate.
+    monomial certificate; e < 1 is refused for every family.
     """
     match = classify(f)
+    # the monomial engine refuses e outside its own, narrower range
+    if e < 1 and match.tag != "Monomial":
+        raise EOutOfRange("need e >= 1")
     return ENGINES[match.tag](f, match, seed, e)

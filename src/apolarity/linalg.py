@@ -23,6 +23,9 @@ stores no rows at all: its basis is the identity, built only when read.
 
 Pivoting always selects the first usable column, and kernels are emitted
 directly in canonical form by eliminating with the column order reversed.
+An intersection A cap B_1 cap ... cap B_m costs sparse reductions of A's
+rows modulo each B_j and one kernel of at most sum codim B_j rows and dim A
+columns: no doubled ambient, no dense row and no second elimination.
 
 solve is the one place that may take a modular route. When the field's
 modulus is a cyclotomic polynomial Phi_m with m >= 3 (detected once per
@@ -487,23 +490,39 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus intersection: RREF [[A A],[B 0]], read rows with zero left half."""
-    a._check(b)
-    if a.is_full():
-        return b.copy()
-    if b.is_full():
-        return a.copy()
-    field = a.field
-    n = a.ambient
-    stacked = [list(row) + list(row) for row in a.rows]
-    stacked += [list(row) + [field.raw_zero] * n for row in b.rows]
-    rows, pivots = _batch_rref(stacked, field)
-    inter = []
-    for row, p in zip(rows, pivots):
-        if p >= n:
-            inter.append(row[n:])
-    return Subspace.from_raw_vectors(inter, n, field)
+def subspace_intersect(a: Subspace, b: Subspace, *more: Subspace) -> Subspace:
+    """A cap B_1 cap ... cap B_m, read off the canonical basis of A, the
+    smallest operand that is not full. sum lambda_i a_i lies in every B_j
+    exactly when its residuals modulo the B_j, linear in lambda, vanish;
+    the canonical kernel of the residuals maps to the canonical basis, as
+    the combination takes the value lambda_i at a_i's pivot."""
+    spaces = [a, b, *more]
+    for other in spaces[1:]:
+        a._check(other)
+    parts = sorted((s for s in spaces if not s.is_full()), key=lambda s: s.dim)
+    if not parts:
+        return Subspace.full(a.ambient, a.field)
+    base, field = parts[0], a.field
+    ops = _raw_ops(field)
+    zero = field.raw_zero
+    basis = base.sparse_rows()
+    residuals: dict[tuple[int, int], list] = {}
+    for j, other in enumerate(parts[1:]):
+        for i, row in enumerate(basis):
+            for c, v in other._reduce(dict(row), ops).items():
+                residuals.setdefault((j, c), [zero] * len(basis))[i] = v
+    if not residuals:
+        return base.copy()
+    lam = kernel(Matrix(field, len(residuals), len(basis),
+                        list(residuals.values())))
+    rows = []
+    for coeffs in lam.sparse_rows():
+        x: dict = {}
+        for i, f in coeffs.items():
+            _sub_multiple(x, field.neg_raw(f), basis[i], None, ops, zero)
+        rows.append(x)
+    return Subspace(field, base.ambient, rows,
+                    [base.pivots[q] for q in lam.pivots])
 
 
 def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | None:

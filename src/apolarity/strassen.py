@@ -14,7 +14,6 @@ explicit witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .apolar import add_principal, catalecticant, colon_by_ideal, hf
 from .bounds import RankCertificate, certify, essential_vars, lower_bound
@@ -408,9 +407,8 @@ def lemma52_hf_check(triples) -> Lemma52Report:
     n = len(varset)
     values = []
     for s in range(D + 1):
-        inter = reduce(subspace_intersect,
-                       (J.slices[s] for J in ideals[1:]),
-                       ideals[0].slices[s])
+        slices = [J.slices[s] for J in ideals]
+        inter = subspace_intersect(*slices) if len(slices) > 1 else slices[0]
         values.append(space_dim(n, s) - inter.dim)
     m = len(triples)
     joint_total = sum(values)

@@ -458,3 +458,13 @@ def test_rank_e_zero_is_refused(capsys):
     assert err.startswith("error: bounds.EOutOfRange:")
     assert err.count("\n") == 1
     assert go(["rank", "x^2*y^3", "--e", "1"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("form, e", [
+    ("x^3+y^3", "-5"),          # binary
+    ("x^2+y^2+z^2+x*y", "0"),   # no family
+    ("x^2*(y^3+z^3)", "-1"),    # x^a (y_1^b + ... + y_n^b)
+])
+def test_rank_e_below_one_is_refused_for_every_family(capsys, form, e):
+    assert go(["rank", form, "--e", e], capsys) == (
+        1, "", "error: bounds.EOutOfRange: need e >= 1\n")

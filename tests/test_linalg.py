@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from conftest import naive_rref
@@ -335,6 +337,150 @@ class TestIncrementalAgainstBatch:
             self.same(subspace_sum(a, b), want)
             self.same(subspace_sum(b, a), want)
             assert want.contains_subspace(a) and want.contains_subspace(b)
+
+
+def zassenhaus(a, b):
+    """Oracle: RREF [[A A], [B 0]] by batch elimination and keep the right
+    halves of the rows whose left half is zero."""
+    field, n = a.field, a.ambient
+    zero = field.raw_zero
+    stacked = [row + row for row in a.rows]
+    stacked += [row + [zero] * n for row in b.rows]
+    if not stacked:
+        return Subspace.zero(n, field)
+    m, pivots = rref(Matrix(field, len(stacked), 2 * n, stacked))
+    return Subspace.from_raw_vectors(
+        [row[n:] for row, p in zip(m.rows, pivots) if p >= n], n, field)
+
+
+def combinations(field, rng, rows, count):
+    """count random combinations of the raw rows."""
+    out = []
+    for _ in range(count):
+        vec = [field.from_raw(field.raw_zero)] * len(rows[0])
+        for row in rows:
+            c = field.from_raw(rand_raw(field, rng))
+            vec = [v + c * field.from_raw(x) for v, x in zip(vec, row)]
+        out.append([field.to_raw(v) for v in vec])
+    return out
+
+
+def random_rows(field, rng, n, count):
+    """count raw rows of length n, all of one random density."""
+    density = rng.uniform(0.3, 1)
+    return [[rand_raw(field, rng) if rng.random() < density
+             else field.raw_zero for _ in range(n)] for _ in range(count)]
+
+
+def operand(field, rng, n, earlier, core):
+    """A seeded subspace: zero, full, equal to or nested in an earlier
+    operand, spanned by sparse and dense vectors, or (most often) by the
+    vectors of core, which every case shares, and a few more."""
+    kind = rng.choice(("core",) * 6 + ("stream", "dense", "zero", "full",
+                                       "equal", "nested"))
+    if kind in ("equal", "nested") and not any(s.dim for s in earlier):
+        kind = "core"
+    if kind == "zero":
+        return Subspace.zero(n, field)
+    if kind == "full":
+        return Subspace.full(n, field)
+    if kind == "equal":
+        return rng.choice(earlier).copy()
+    if kind == "nested":
+        rows = rng.choice([s for s in earlier if s.dim]).rows
+        vecs = combinations(field, rng, rows, rng.randint(1, len(rows)))
+    elif kind == "dense":
+        vecs = random_rows(field, rng, n, rng.randint(1, n))
+    elif kind == "stream":
+        vecs = vector_stream(field, rng, n)
+    else:
+        vecs = core + random_rows(field, rng, n, rng.randint(1, n - len(core)))
+    return Subspace.from_raw_vectors(vecs, n, field)
+
+
+def snapshot(spaces):
+    return [(s.rows, list(s.pivots)) for s in spaces]
+
+
+class TestIntersection:
+    """subspace_intersect against the Zassenhaus elimination it replaced,
+    rebuilt here on batch rref."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Q(zeta_5)"])
+    def test_matches_zassenhaus_in_every_order(self, field):
+        rng = random.Random(71 if field.degree == 1 else 72)
+        for _ in range(150 if field.degree == 1 else 25):
+            n = rng.randint(2, 7)
+            core = random_rows(field, rng, n, rng.randint(1, n - 1))
+            spaces = []
+            for _ in range(rng.randint(2, 4)):
+                spaces.append(operand(field, rng, n, spaces, core))
+            before = snapshot(spaces)
+            want = reduce(zassenhaus, spaces)
+            for order in itertools.permutations(spaces):
+                got = subspace_intersect(*order)
+                assert got.rows == want.rows
+                assert list(got.pivots) == list(want.pivots)
+                assert got == want and got.is_full() == want.is_full()
+                assert reduce(subspace_intersect, order) == want
+            assert snapshot(spaces) == before
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Q(zeta_5)"])
+    def test_large_subspaces_of_small_codimension(self, field):
+        # the shape of ideal slices: few free columns, many basis rows
+        rng = random.Random(73 if field.degree == 1 else 74)
+        n = 12 if field.degree == 1 else 7
+        for _ in range(6 if field.degree == 1 else 4):
+            spaces = [Subspace.from_raw_vectors(
+                [[rand_raw(field, rng) if rng.random() < 0.6
+                  else field.raw_zero for _ in range(n)]
+                 for _ in range(n - rng.randint(1, 3))], n, field)
+                for _ in range(rng.randint(2, 3))]
+            before = snapshot(spaces)
+            assert subspace_intersect(*spaces) == reduce(zassenhaus, spaces)
+            assert snapshot(spaces) == before
+
+    def test_result_shares_no_row_with_an_operand(self):
+        a = Subspace.from_raw_vectors([[1, 2, 0], [0, 0, 1]], 3, QQ)
+        for got in (subspace_intersect(a, Subspace.full(3, QQ)),
+                    subspace_intersect(a, a)):
+            assert got == a
+            got.insert_raw([0, 1, 0])
+            assert a.dim == 2 and got.is_full()
+
+    def test_lemma52_joint_profile_equals_the_fold(self):
+        from apolarity.apolar import add_principal, colon_by_ideal
+        from apolarity.poly import Poly, VarSet, space_dim
+        from apolarity.strassen import lemma52_hf_check
+
+        V = VarSet(("x0", "x1", "y0", "y1", "z"))
+
+        def var(i):
+            return Poly.variable(V, i)
+
+        def mono(exps):
+            return Poly.monomial(V, exps)
+
+        triples = [
+            (mono((3, 0, 0, 0, 0)) + mono((0, 3, 0, 0, 0)),
+             [var(0) - var(1)], var(0) - var(1)),
+            (mono((0, 0, 2, 1, 0)), [var(3)], var(3)),
+            (mono((0, 0, 0, 0, 3)), [var(4)], var(4)),
+        ]
+        report = lemma52_hf_check(triples)
+        D = 4
+        ideals = [add_principal(colon_by_ideal(f, gens, D), t)
+                  for f, gens, t in triples]
+        fold = []
+        for s in range(D + 1):
+            slices = [J.slices[s] for J in ideals]
+            meet = reduce(zassenhaus, slices)
+            assert reduce(subspace_intersect, slices) == meet
+            fold.append(space_dim(len(V), s) - meet.dim)
+        fold = tuple(fold)
+        assert report.joint_values == fold
+        assert report.ok and report.joint_total == sum(fold)
+        assert report.expected_total == sum(report.summand_totals) - 2
 
 
 class TestSolve:
