@@ -16,11 +16,11 @@ from .poly import (Poly, VarSet, apolar_action, embed_in_varset, linear_form,
                    space_dim, split_disjoint)
 from .linalg import (Matrix, Subspace, kernel, matrix_rank, rref, solve,
                      subspace_intersect, subspace_sum)
-from .apolar import (Catalecticant, GradedIdeal, HFProfile, add_principal,
-                     catalecticant, colon_by_form, colon_by_ideal, hf,
+from .apolar import (GradedIdeal, HFProfile, add_principal, catalecticant,
+                     catalecticant_rank, colon_by_form, colon_by_ideal, hf,
                      hf_points, ideal_from_generators, koszul_ci_hf,
-                     minimal_generators, normalize_point, perp, points_ideal,
-                     principal_sum_hf)
+                     minimal_generators, normalize_point, perp, perp_hf,
+                     points_ideal, principal_sum_hf)
 from .bounds import (ChangeOfBasis, LinearCaseAnalysis, LowerBoundWitness,
                      Prop36Report, RankCertificate, UpperBoundWitness,
                      certify, essential_vars, linear_candidate_analysis,
@@ -47,10 +47,11 @@ __all__ = [
     "split_disjoint",
     "Matrix", "Subspace", "kernel", "matrix_rank", "rref", "solve",
     "subspace_intersect", "subspace_sum",
-    "Catalecticant", "GradedIdeal", "HFProfile", "add_principal",
-    "catalecticant", "colon_by_form", "colon_by_ideal", "hf", "hf_points",
-    "ideal_from_generators", "koszul_ci_hf", "minimal_generators",
-    "normalize_point", "perp", "points_ideal", "principal_sum_hf",
+    "GradedIdeal", "HFProfile", "add_principal", "catalecticant",
+    "catalecticant_rank", "colon_by_form", "colon_by_ideal", "hf",
+    "hf_points", "ideal_from_generators", "koszul_ci_hf",
+    "minimal_generators", "normalize_point", "perp", "perp_hf",
+    "points_ideal", "principal_sum_hf",
     "ChangeOfBasis", "LinearCaseAnalysis", "LowerBoundWitness",
     "Prop36Report", "RankCertificate", "UpperBoundWitness", "certify",
     "essential_vars", "linear_candidate_analysis", "lower_bound",

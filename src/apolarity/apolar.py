@@ -9,30 +9,27 @@ whole degree piece every later slice is full by ideal closure. Full slices
 are implicit (Subspace.full stores no rows), so they cost nothing to build,
 copy, lift or test against.
 
-Annihilators and colons are one computation. F_perp is the annihilator of
-F, and (F_perp : I) is the common annihilator of the forms g o F for the
-generators g of I: in each degree, the kernel of their stacked
-catalecticants. No ideals are ever intersected.
+Every catalecticant is assembled in one place, _catalecticant_rows, from
+its nonzero cells, driven by the terms of each form: a term x^beta reaches
+only the columns alpha <= beta, so the cost is the number of nonzero cells.
+Over QQ each form is first scaled to integer coefficients (a row scaling,
+which moves no rank and no kernel), so no Fraction reaches elimination.
+The assembly has three consumers:
 
-A rank lower bound needs only the Hilbert function of T/((F_perp : I) + (t)),
-and principal_sum_hf reads it off ranks of the same stacked catalecticants
-without building an ideal. Over QQ that path has no Fraction in it: each
-form is scaled to integer coefficients (a row scaling, so no rank moves),
-t o G is contracted on those integers, and the catalecticants go to
-fraction-free elimination as integer rows holding only their nonzero rows
-and columns. Where a single form is ranked, the Gorenstein symmetry
-rk Cat_i = rk Cat_(d-i) halves the eliminations. The ideal engine stays for
-the slices themselves and as the reference the tests hold that path to;
+- Annihilators and colons. (F_perp : I) is the common annihilator of the
+  forms g o F for the generators g of I: in each degree, the kernel of
+  their stacked catalecticant rows. No ideals are ever intersected.
+- Ranks. principal_sum_hf reads the Hilbert function of
+  T/((F_perp : I) + (t)), all a lower bound needs, off ranks of the same
+  rows with their zero columns dropped; perp_hf reads
+  HF(T/F_perp, i) = rk Cat_i(F), and catalecticant_rank one rank. Where a
+  single form is ranked, the Gorenstein symmetry rk Cat_i = rk Cat_(d-i)
+  halves the eliminations.
+- catalecticant, the public dense matrix of the true coefficients.
+
 add_principal adds (t) to a sliced ideal by one batch elimination per
-degree.
-
-Every catalecticant is built from its nonzero cells, driven by the terms of
-F: a term x^beta reaches only the columns alpha <= beta, so the cost is the
-number of nonzero cells, not columns x terms. Catalecticants, point
-evaluations and polynomial vectors are built as raw rows
-(NumberField.to_raw) and handed to elimination as they are; point
-evaluations come from one power table per point coordinate, over QQ of an
-integer multiple of the point.
+degree. Point evaluations come from one power table per point coordinate,
+over QQ of an integer multiple of the point.
 
 Groebner machinery is deliberately absent; degreewise exact linear algebra
 decides everything needed.
@@ -40,7 +37,6 @@ decides everything needed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, perm
@@ -130,18 +126,6 @@ def _poly_raw_terms(t: Poly) -> list[tuple[Exps, object]]:
 # catalecticants
 
 
-@dataclass(frozen=True)
-class Catalecticant:
-    """The contraction map T_i -> S_(d-i), g |-> g o F, as an explicit matrix.
-
-    Rows follow the degree d-i monomial basis, columns the degree i basis.
-    """
-
-    form: Poly
-    i: int
-    matrix: Matrix
-
-
 def _term_cells(beta: Exps, i: int) -> list[tuple[int, int, int]]:
     """The cells X^alpha o x^beta = s * x^(beta - alpha) for alpha <= beta
     of degree i, as (row, column, s): row the index of beta - alpha among
@@ -161,40 +145,53 @@ def _term_cells(beta: Exps, i: int) -> list[tuple[int, int, int]]:
     return [(rows[gamma], cols[alpha], s) for alpha, gamma, _, s in partial]
 
 
-def _catalecticant_cells(terms, i: int, times):
-    """Each nonzero cell of Cat_i of a form once, as (row, column, value),
-    driven by the form's (exponents, raw coefficient) terms: the term
-    c * x^beta fills row beta - alpha, column alpha with times(c, s) for
-    every alpha <= beta of degree i. Distinct terms reach distinct rows of
-    a column, so the cost is the number of nonzero cells."""
-    for beta, c in terms:
-        for r, col, s in _term_cells(beta, i):
-            yield r, col, times(c, s)
+def _catalecticant_rows(field: NumberField, forms: Sequence[tuple],
+                        i: int) -> list[dict]:
+    """For each form of degree >= i, given as (degree, raw terms), its
+    nonzero Cat_i rows as {row: {column: raw scalar}}. Distinct terms reach
+    distinct rows of a column (see _term_cells), so each nonzero cell is
+    written once, in one pass."""
+    times = field.raw_ops()[5]
+    out = []
+    for d, terms in forms:
+        if d < i:
+            continue
+        block: dict[int, dict] = {}
+        for beta, c in terms:
+            for r, col, s in _term_cells(beta, i):
+                block.setdefault(r, {})[col] = times(c, s)
+        out.append(block)
+    return out
 
 
-def _raw_arith(field: NumberField):
-    """Product, sum, zero test and integer multiple of raw scalars; over a
-    degree-1 field they serve Fractions and plain ints alike."""
-    if field.degree == 1:
-        return operator.mul, operator.add, operator.not_, operator.mul
-    return (field.mul_coords, field.add_coords, field.is_zero_coords,
-            lambda c, s: tuple(x * s for x in c))
-
-
-def catalecticant(f: Poly, i: int) -> Catalecticant:
+def _checked_degree(f: Poly, i: int) -> int:
+    """deg F, for a nonzero F with 0 <= i <= deg F."""
     if f.is_zero():
         raise ZeroForm("catalecticant of the zero form")
     d = f.degree()
     if not 0 <= i <= d:
         raise DegreeMismatch(f"catalecticant index {i} outside 0..{d}")
-    n = len(f.varset)
-    field = f.field
+    return d
+
+
+def catalecticant(f: Poly, i: int) -> Matrix:
+    """Cat_i(F): g |-> g o F from T_i to S_(d-i) as a dense raw matrix, rows
+    in the degree d-i monomial basis, columns in the degree i basis."""
+    d = _checked_degree(f, i)
+    n, field = len(f.varset), f.field
     ncols = space_dim(n, i)
     entries = [[field.raw_zero] * ncols for _ in range(space_dim(n, d - i))]
-    for r, c, v in _catalecticant_cells(_poly_raw_terms(f), i,
-                                        _raw_arith(field)[3]):
-        entries[r][c] = v
-    return Catalecticant(f, i, Matrix(field, len(entries), ncols, entries))
+    block, = _catalecticant_rows(field, [(d, _poly_raw_terms(f))], i)
+    for r, row in block.items():
+        for c, v in row.items():
+            entries[r][c] = v
+    return Matrix(field, len(entries), ncols, entries)
+
+
+def catalecticant_rank(f: Poly, i: int) -> int:
+    """rk Cat_i(F), ranked from the nonzero cells with no dense matrix."""
+    d = _checked_degree(f, i)
+    return _stacked_rank(f.field, [(d, _integral_terms(f))], i)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +282,22 @@ def _nonzero_forms(forms: Sequence[Poly], D: int) -> list[Poly]:
 
 def _annihilator(forms: Sequence[Poly], D: int) -> GradedIdeal:
     """The common annihilator of forms in one ring, sliced up to D: in
-    degree i the kernel of the catalecticants Cat_i(g) of the nonzero forms
-    g of degree >= i stacked into one matrix, full where no form reaches i."""
+    degree i the kernel of the stacked nonzero Cat_i rows of the nonzero
+    forms, over QQ integer rows, full where no form reaches degree i."""
     varset, field = forms[0].varset, forms[0].field
-    nonzero = _nonzero_forms(forms, D)
+    nonzero = [(g.degree(), _integral_terms(g))
+               for g in _nonzero_forms(forms, D)]
+    zero = 0 if field.degree == 1 else field.raw_zero
     slices = []
     for i in range(D + 1):
         amb = space_dim(len(varset), i)
-        rows = [row for g in nonzero if g.degree() >= i
-                for row in catalecticant(g, i).matrix.rows]
+        rows = []
+        for block in _catalecticant_rows(field, nonzero, i):
+            for row in block.values():
+                vec = [zero] * amb
+                for c, v in row.items():
+                    vec[c] = v
+                rows.append(vec)
         slices.append(kernel(Matrix(field, len(rows), amb, rows)) if rows
                       else Subspace.full(amb, field))
     return GradedIdeal(varset, field, D, slices)
@@ -445,6 +449,16 @@ def hf(ideal: GradedIdeal) -> HFProfile:
                            for i in range(ideal.D + 1)))
 
 
+def perp_hf(f: Poly, D: int | None = None) -> HFProfile:
+    """hf(perp(f, D)) from ranks alone, with no ideal:
+    HF(T/F_perp, i) = rk Cat_i(F)."""
+    if f.is_zero():
+        raise ZeroForm("the zero form has no annihilator")
+    D = f.degree() + 1 if D is None else D
+    forms = [(g.degree(), _integral_terms(g)) for g in _nonzero_forms([f], D)]
+    return HFProfile(tuple(_catalecticant_ranks(f.field, forms, D)))
+
+
 def _integral_terms(g: Poly) -> list[tuple[Exps, object]]:
     """The raw terms of g; over a degree-1 field scaled by the lcm of the
     coefficient denominators to plain ints, which scales every catalecticant
@@ -460,19 +474,11 @@ def _stacked_rank(field: NumberField, forms: Sequence[tuple], i: int) -> int:
     """rk of Cat_i of the forms of degree >= i stacked, from their nonzero
     cells, with the zero rows and zero columns left out. forms holds each
     form's (degree, raw terms)."""
-    times = _raw_arith(field)[3]
-    rows: list[dict] = []
-    used: dict[int, int] = {}
-    for d, terms in forms:
-        if d < i:
-            continue
-        block: dict[int, dict] = {}
-        for r, c, v in _catalecticant_cells(terms, i, times):
-            block.setdefault(r, {})[c] = v
-            used.setdefault(c, len(used))
-        rows += block.values()
+    rows = [row for block in _catalecticant_rows(field, forms, i)
+            for row in block.values()]
     if not rows:
         return 0
+    used = {c: k for k, c in enumerate(set().union(*rows))}
     zero = 0 if field.degree == 1 else field.raw_zero
     dense = []
     for row in rows:
@@ -507,15 +513,8 @@ def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
     rk Cat_i(forms) - rk Cat_(i-e)(t o forms), catalecticants of several
     forms stacked. The ranks of the forms are taken once for all t, and no
     ideal is built. For the forms g o F over the generators g of I this is
-    T/((F_perp : I) + (t)).
-
-    Over a degree-1 field every form and every t is scaled to integer
-    coefficients, which scales whole catalecticant rows and keeps every
-    rank; t o g is contracted on those integers, and the catalecticants go
-    to fraction-free elimination as integer rows built from their nonzero
-    cells. Where one nonzero form is ranked (a principal I, or the form
-    t o F) only half of its degrees are eliminated; the rest follow by
-    symmetry.
+    T/((F_perp : I) + (t)). Over a degree-1 field t o g is contracted on
+    the integer coefficients of _integral_terms.
     """
     nonzero = _nonzero_forms(forms, D)
     field = forms[0].field
@@ -533,7 +532,7 @@ def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
         # apolar_action's rule: a rational side is lifted to the other's field
         fld = field if t.field.is_rationals() else t.field
         t_terms = _integral_terms(t.lift(fld))
-        mul, add, is_zero, times = _raw_arith(fld)
+        mul, add, _, is_zero, _, times = fld.raw_ops()
         shifted = []
         for d, g_terms in base_forms if fld == field else blocks(fld):
             tg = _contract_raw(t_terms, g_terms, mul, add, times)
@@ -590,7 +589,7 @@ def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
             raise DuplicatePoint(f"point ({', '.join(str(v) for v in q)}) repeats")
         seen.add(key)
         norm.append(q)
-    mul = _raw_arith(field)[0]
+    mul = field.raw_ops()[0]
     if field.degree == 1:
         # an integer multiple of a point scales each evaluation row and
         # keeps every kernel, so the rows are built from integer points
@@ -638,8 +637,7 @@ def hf_points(points: Sequence[Sequence], varset: VarSet, D: int,
     the regularity plateau for points).
     """
     ideal = points_ideal(points, varset, D, field)
-    vals = tuple(space_dim(len(varset), i) - ideal.slices[i].dim
-                 for i in range(D + 1))
+    vals = hf(ideal).values
     stab = len(vals) >= 2 and vals[-1] == vals[-2]
     return HFProfile(vals, stabilized=stab), ideal
 

@@ -389,7 +389,7 @@ def essential_vars(f: Poly) -> tuple[ChangeOfBasis, Poly]:
         raise ZeroForm("the zero form involves no variables")
     n = len(f.varset)
     fld = f.field
-    ker = kernel(catalecticant(f, 1).matrix)
+    ker = kernel(catalecticant(f, 1))
     s = ker.dim
     if s == 0:
         ident = tuple(tuple(fld.one if i == j else fld.zero for j in range(n))

@@ -21,13 +21,12 @@ import functools
 import json
 import sys
 
-from .apolar import catalecticant, hf, minimal_generators, perp
+from .apolar import catalecticant_rank, minimal_generators, perp, perp_hf
 from .bounds import certify, essential_vars, lower_bound, upper_bound_from_points
-from .linalg import matrix_rank
 from .errors import ApolarityError, ParseError
 from .families import analyze, sylvester, vandermonde
 from .parser import parse_extension, parse_poly
-from .poly import Poly, restrict_to_vars, split_disjoint
+from .poly import Poly, restrict_to_vars, space_dim, split_disjoint
 from .strassen import strassen_rank
 
 FAMILY_LABEL = {
@@ -129,7 +128,7 @@ def _cmd_gens(args):
 def _cmd_hf(args):
     f, _, _ = _load_form(args)
     D = args.degree_cap if args.degree_cap is not None else f.degree() + 1
-    profile = hf(perp(f, D))
+    profile = perp_hf(f, D)
     data = {"module": "apolar", "form": str(f),
             "values": list(profile.values), "total": profile.total()}
     _emit(args, data, _hf_rows(profile.values))
@@ -140,12 +139,13 @@ def _cmd_cat(args):
     f, _, _ = _load_form(args)
     if args.e is None:
         raise ParseError("cat requires --e", 0)
-    c = catalecticant(f, args.e)
-    r = matrix_rank(c.matrix)
+    r = catalecticant_rank(f, args.e)
+    n = len(f.varset)
+    nrows, ncols = space_dim(n, f.degree() - args.e), space_dim(n, args.e)
     data = {"module": "apolar", "form": str(f), "e": args.e,
-            "rows": c.matrix.nrows, "cols": c.matrix.ncols, "rank": r}
+            "rows": nrows, "cols": ncols, "rank": r}
     _emit(args, data, [f"catalecticant C_{args.e}: "
-                       f"{c.matrix.nrows} x {c.matrix.ncols}, rank {r}"])
+                       f"{nrows} x {ncols}, rank {r}"])
     return 0
 
 

@@ -12,16 +12,15 @@ tuples with no trailing zeros; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import (FieldMismatch, InvalidExtension, NotInvertible, ZeroForm,
                      ZeroInversion)
 
-Rational = Fraction
 UniPoly = tuple[Fraction, ...]
-Scalar = Union[int, Fraction, "FieldElement"]
 
 
 def as_fraction(value) -> Fraction:
@@ -312,6 +311,17 @@ class NumberField:
 
     def neg_raw(self, raw):
         return -raw if self.degree == 1 else self.neg_coords(raw)
+
+    def raw_ops(self) -> tuple:
+        """Product, sum, difference, zero test, inverse and int multiple of
+        raw scalars (over a degree-1 field Fractions and ints alike), with
+        the coordinate methods looked up afresh, so class wrappers show."""
+        if self.degree == 1:
+            return (operator.mul, operator.add, operator.sub, operator.not_,
+                    lambda a: 1 / a, operator.mul)
+        return (self.mul_coords, self.add_coords, self.sub_coords,
+                self.is_zero_coords, self.inv_coords,
+                lambda a, s: tuple(x * s for x in a))
 
     # -- coordinate arithmetic
 

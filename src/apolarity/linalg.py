@@ -46,7 +46,6 @@ self-check that raises ArithmeticError.
 
 from __future__ import annotations
 
-import operator
 from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
@@ -259,18 +258,6 @@ def matrix_rank(matrix: Matrix) -> int:
     return len(_rref_ext(matrix.rows, matrix.field)[1])
 
 
-def _raw_ops(field: NumberField):
-    """Product, difference, zero test and inverse of the field's raw scalars."""
-    if field.degree == 1:
-        return operator.mul, operator.sub, operator.not_, _inverse_q
-    return (field.mul_coords, field.sub_coords, field.is_zero_coords,
-            field.inv_coords)
-
-
-def _inverse_q(a: Fraction) -> Fraction:
-    return 1 / a
-
-
 def _sparse(vec, is_zero) -> dict:
     """A fresh {column: raw scalar} dict of the nonzero entries of a dense
     raw row or of another such dict."""
@@ -279,8 +266,9 @@ def _sparse(vec, is_zero) -> dict:
 
 
 def _sub_multiple(vec: dict, f, row: dict, skip: int, ops, zero) -> None:
-    """vec -= f * row in place, over the entries of row off column skip."""
-    mul, sub, is_zero, _ = ops
+    """vec -= f * row in place, over the entries of row off column skip;
+    ops is NumberField.raw_ops()."""
+    mul, _, sub, is_zero, _, _ = ops
     for j, b in row.items():
         if j != skip:
             v = sub(vec.get(j, zero), mul(f, b))
@@ -343,7 +331,7 @@ class Subspace:
     @classmethod
     def _from_rref(cls, raw: list, ambient: int, field: NumberField):
         rows, pivots = _batch_rref(raw, field)
-        is_zero = _raw_ops(field)[2]
+        is_zero = field.raw_ops()[3]
         return cls(field, ambient, [_sparse(r, is_zero) for r in rows], pivots)
 
     # -- views
@@ -409,8 +397,8 @@ class Subspace:
         rows = self._rows
         if rows is None:
             return False
-        ops = _raw_ops(self.field)
-        mul, _, is_zero, inv = ops
+        ops = self.field.raw_ops()
+        mul, _, _, is_zero, inv, _ = ops
         vec = self._reduce(_sparse(vec, is_zero), ops)
         if not vec:
             return False
@@ -432,8 +420,8 @@ class Subspace:
         """Whether a raw vector, dense or sparse, lies in the subspace."""
         if self._rows is None:
             return True
-        ops = _raw_ops(self.field)
-        return not self._reduce(_sparse(vec, ops[2]), ops)
+        ops = self.field.raw_ops()
+        return not self._reduce(_sparse(vec, ops[3]), ops)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check(other)
@@ -503,7 +491,7 @@ def subspace_intersect(a: Subspace, b: Subspace, *more: Subspace) -> Subspace:
     if not parts:
         return Subspace.full(a.ambient, a.field)
     base, field = parts[0], a.field
-    ops = _raw_ops(field)
+    ops = field.raw_ops()
     zero = field.raw_zero
     basis = base.sparse_rows()
     residuals: dict[tuple[int, int], list] = {}

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apolar import add_principal, catalecticant, colon_by_ideal, hf
+from .apolar import add_principal, catalecticant_rank, colon_by_ideal, hf
 from .bounds import RankCertificate, certify, essential_vars, lower_bound
 from .errors import (DegreeMismatch, EmptyGeneratorList, EOutOfRange,
                      FieldMismatch, MixedDegrees, ZeroForm)
 from .families import (CI_CITATION, XASUMB_GEQ_CITATION, _monomial_inputs,
                        analyze, ci_rank, classify, monomial_certificate,
                        monomial_rank)
-from .linalg import matrix_rank, subspace_intersect
+from .linalg import subspace_intersect
 from .poly import Poly, restrict_to_vars, space_dim, split_disjoint
 
 ADDITIVITY_CITATION = (
@@ -147,8 +147,8 @@ class _Summand:
                                    self.fallback.cited_rank,
                                    self.fallback.citation)
             # (reduced)_perp vanishes in degree e: Cat_e has full column rank
-            cat = catalecticant(self.reduced, e).matrix
-            perp_zero = matrix_rank(cat) == cat.ncols
+            perp_zero = (catalecticant_rank(self.reduced, e)
+                         == space_dim(len(self.reduced.varset), e))
             return SummandReport(self.form, self.block, self.family, cert,
                                  self.rank, self.bounds, tuple(self.options),
                                  e, self.essential, perp_zero)

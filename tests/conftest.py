@@ -3,6 +3,9 @@ than the package uses so expected values come from an independent route."""
 
 from fractions import Fraction
 
+from apolarity.linalg import Matrix
+from apolarity.poly import Poly, apolar_action, monomial_basis
+
 
 def naive_rref(rows):
     """Plain Fraction Gauss-Jordan, the slow textbook way."""
@@ -111,3 +114,14 @@ def span_rref(vectors):
         return []
     red, _ = naive_rref(live)
     return red
+
+
+def contraction_catalecticant(f, i):
+    """Cat_i(F) as a dense Matrix over F's field, column alpha holding the
+    coefficients of X^alpha o F (apolar_action), so it shares no cell code
+    with apolarity.apolar; rows follow the degree d-i monomial basis."""
+    n, d = len(f.varset), f.degree()
+    cols = [apolar_action(Poly.monomial(f.varset, alpha), f).to_vector(d - i)
+            for alpha in monomial_basis(n, i)]
+    rows = [list(r) for r in zip(*cols)]
+    return Matrix.from_rows(rows, field=f.field, ncols=len(cols))

@@ -105,9 +105,8 @@ def test_catalecticant_matches_contraction_oracle():
         for i in range(d + 1):
             cat = catalecticant(f, i)
             rows, cols = monomial_basis(n, d - i), monomial_basis(n, i)
-            assert (cat.matrix.nrows, cat.matrix.ncols) == (len(rows),
-                                                            len(cols))
-            entries = cat.matrix.vectors()
+            assert (cat.nrows, cat.ncols) == (len(rows), len(cols))
+            entries = cat.vectors()
             for r, gamma in enumerate(rows):
                 for j, alpha in enumerate(cols):
                     beta = tuple(a + g for a, g in zip(alpha, gamma))
@@ -116,8 +115,7 @@ def test_catalecticant_matches_contraction_oracle():
                                                                    beta)
             # the raw entries keep the field's raw format
             raw = field.raw_zero
-            assert all(type(v) is type(raw) for row in cat.matrix.rows
-                       for v in row)
+            assert all(type(v) is type(raw) for row in cat.rows for v in row)
 
 
 def test_catalecticant_rank_equals_hf():

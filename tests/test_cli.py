@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from apolarity import cli
+from apolarity.apolar import hf, perp
 from apolarity.cli import run
+from apolarity.parser import parse_extension, parse_poly
 
 
 def go(argv, capsys):
@@ -182,6 +184,48 @@ def test_error_rendering(capsys):
     code, _, err = go(["nosuchverb", "x"], capsys)
     assert code == 1
     assert "error: parser.ParseError:" in err
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["hf", "x0^3 + x1^3", "--degree-cap", "3"],
+     "error: apolar.DegreeMismatch: truncation must reach deg F + 1\n"),
+    (["hf", "0"], "error: poly.ZeroForm: the zero polynomial has no degree\n"),
+    (["hf", "0", "--degree-cap", "3"],
+     "error: poly.ZeroForm: the zero form has no annihilator\n"),
+    (["hf", "x0^2 + x1"],
+     "error: poly.NonHomogeneous: mixed degrees [1, 2]\n"),
+    (["cat", "0", "--e", "1"],
+     "error: poly.ZeroForm: catalecticant of the zero form\n"),
+    (["cat", "x0^2 + x1", "--e", "1"],
+     "error: poly.NonHomogeneous: mixed degrees [1, 2]\n"),
+    (["cat", "x0^3 + x1^3", "--e", "4"],
+     "error: apolar.DegreeMismatch: catalecticant index 4 outside 0..3\n"),
+    (["cat", "x0^3 + x1^3", "--e", "-1"],
+     "error: apolar.DegreeMismatch: catalecticant index -1 outside 0..3\n"),
+    (["cat", "x0^3 + x1^3"],
+     "error: parser.ParseError: cat requires --e (at position 0)\n"),
+])
+def test_hf_and_cat_error_lines(argv, err, capsys):
+    assert go(argv, capsys) == (1, "", err)
+    assert go(argv + ["--json"], capsys) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hf", "x0^3*x1 + 2*x1^2*x2^2 - x2^4"],
+    ["hf", "(x0 + x1 + 2*x2)^5 + x0*x1^4", "--degree-cap", "8"],
+    ["hf", "x^3 + g*y^3 + x*y*z", "--ext", "g: g^4+g^3+g^2+g+1"],
+    ["hf", "x^2*y^2 - g^2*x*y*z^2", "--ext", "g: g^4+g^3+g^2+g+1",
+     "--degree-cap", "6"],
+])
+def test_hf_verb_matches_perp_slices(argv, capsys):
+    # the verb reads catalecticant ranks; the kernels of perp must agree
+    gen, field = (parse_extension(argv[argv.index("--ext") + 1])
+                  if "--ext" in argv else (None, None))
+    f = parse_poly(argv[1], field=field, gen_name=gen)
+    D = (int(argv[argv.index("--degree-cap") + 1]) if "--degree-cap" in argv
+         else f.degree() + 1)
+    want = "".join(f"{i}: {v}\n" for i, v in enumerate(hf(perp(f, D)).values))
+    assert go(argv, capsys) == (0, want, "")
 
 
 def test_deep_nesting_is_one_error_line(capsys):

@@ -4,14 +4,15 @@ import random
 from fractions import Fraction
 from math import comb
 
-from apolarity.apolar import (add_principal, catalecticant, colon_by_ideal,
-                              hf, hf_points, perp)
+from apolarity.apolar import (add_principal, colon_by_ideal, hf, hf_points,
+                              perp)
 from apolarity.bounds import essential_vars, lower_bound
 from apolarity.fields import QQ
 from apolarity.linalg import (Matrix, Subspace, kernel, matrix_rank,
                               subspace_intersect, subspace_sum)
 from apolarity.poly import (Poly, VarSet, apolar_action, embed_in_varset,
                             monomial_basis, space_dim)
+from conftest import contraction_catalecticant
 
 VS = {n: VarSet(tuple(f"x{i}" for i in range(n))) for n in range(1, 5)}
 
@@ -187,10 +188,9 @@ def test_catalecticant_rank_complements_perp_dimension():
         d = rng.randint(2, 4)
         f = random_form(rng, n, d)
         i = rng.randint(0, d)
-        c = catalecticant(f, i)
-        assert matrix_rank(c.matrix) + kernel(c.matrix).dim == \
-            space_dim(n, i)
-        assert kernel(c.matrix).dim == perp(f).slices[i].dim
+        c = contraction_catalecticant(f, i)
+        assert matrix_rank(c) + kernel(c).dim == space_dim(n, i)
+        assert kernel(c).dim == perp(f).slices[i].dim
 
 
 def test_lower_bound_is_ceiling_of_profile_total():

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from apolarity.apolar import (add_principal, catalecticant, colon_by_ideal,
-                              hf, minimal_generators, perp, principal_sum_hf)
+from apolarity.apolar import (add_principal, catalecticant_rank,
+                              colon_by_ideal, hf, minimal_generators, perp,
+                              perp_hf, principal_sum_hf)
 from apolarity.bounds import linear_candidate_analysis, lower_bound
 from apolarity.errors import AmbientMismatch, DegreeMismatch
 from apolarity.fields import QQ, cyclotomic_field
@@ -21,6 +22,7 @@ from apolarity.linalg import Matrix, matrix_rank
 from apolarity.parser import parse_poly
 from apolarity.poly import (Poly, VarSet, apolar_action, linear_form,
                             monomial_basis)
+from conftest import contraction_catalecticant
 from test_family_goldens import RANK, STRASSEN
 
 V2 = VarSet(("x0", "x1"))
@@ -155,9 +157,10 @@ def test_matrix_rank_matches_sympy_on_catalecticants():
         forms = [random_form(vs, d, rng, density=rng.choice((0.2, 0.6)))
                  for _ in range(rng.randint(1, 3))]
         for i in range(d + 1):
-            single = catalecticant(forms[0], i).matrix
+            single = contraction_catalecticant(forms[0], i)
             assert matrix_rank(single) == _sympy_rank(single.rows)
-            rows = [r for g in forms for r in catalecticant(g, i).matrix.rows]
+            rows = [r for g in forms
+                    for r in contraction_catalecticant(g, i).rows]
             stacked = Matrix(QQ, len(rows), single.ncols, rows)
             assert matrix_rank(stacked) == _sympy_rank(rows)
 
@@ -177,7 +180,7 @@ def test_principal_sum_hf_matches_sympy_ranks():
 
         def ranks(fs, i):
             rows = [r for g in fs if not g.is_zero() and g.degree() >= i
-                    for r in catalecticant(g, i).matrix.rows]
+                    for r in contraction_catalecticant(g, i).rows]
             return _sympy_rank(rows)
 
         want = tuple(ranks(forms, i) - (ranks(tforms, i - e) if i >= e else 0)
@@ -187,9 +190,9 @@ def test_principal_sum_hf_matches_sympy_ranks():
 
 def _fraction_rank(forms, i):
     """rk of the stacked Cat_i of the nonzero forms of degree >= i, from
-    catalecticant()'s own Fraction rows."""
+    dense Fraction rows of contractions X^alpha o g."""
     rows = [r for g in forms if not g.is_zero() and g.degree() >= i
-            for r in catalecticant(g, i).matrix.rows]
+            for r in contraction_catalecticant(g, i).rows]
     return matrix_rank(Matrix(QQ, len(rows), len(rows[0]), rows)) if rows \
         else 0
 
@@ -207,7 +210,7 @@ def _fractional_form(vs, degree, rng):
 
 def test_principal_sum_hf_matches_fraction_catalecticant_ranks():
     # integer rows, nonzero cells and the one-form symmetry against
-    # differences of ranks of catalecticant()'s Fraction matrices
+    # differences of ranks of dense Fraction contraction matrices
     rng = random.Random(97)
     cases = []
     for _ in range(14):
@@ -252,9 +255,44 @@ def test_single_form_catalecticant_ranks_are_symmetric():
             f = (_fractional_form(vs, d, rng) if field is QQ
                  else random_form(vs, d, rng, field,
                                   density=rng.choice((0.3, 0.8))))
-            ranks = [matrix_rank(catalecticant(f, i).matrix)
+            ranks = [matrix_rank(contraction_catalecticant(f, i))
                      for i in range(d + 1)]
             assert ranks == ranks[::-1], (f, ranks)
+
+
+@pytest.mark.parametrize("field", [QQ, cyclotomic_field(5)],
+                         ids=["QQ", "Qzeta5"])
+def test_perp_hf_ranks_match_perp_kernels(field):
+    # the hf verb's route, catalecticant ranks with the one-form symmetry,
+    # against the dimensions of perp's kernels, at D = d + 1 and beyond
+    rng = random.Random(89)
+    for _ in range(10):
+        vs = rng.choice((V2, V3, V4))
+        d = rng.randint(1, 6 if vs is V2 else 4)
+        f = (_fractional_form(vs, d, rng) if field is QQ
+             else random_form(vs, d, rng, field,
+                              density=rng.choice((0.3, 0.8))))
+        for D in (d + 1, d + 1 + rng.randint(1, 3)):
+            assert perp_hf(f, D) == hf(perp(f, D)), (f, D)
+    with pytest.raises(DegreeMismatch):
+        perp_hf(f, d)
+
+
+@pytest.mark.parametrize("field", [QQ, cyclotomic_field(5)],
+                         ids=["QQ", "Qzeta5"])
+def test_catalecticant_rank_matches_contraction_matrix(field):
+    # the cat verb's and strassen's rank, from the nonzero cells, against
+    # the dense matrix of contractions X^alpha o F
+    rng = random.Random(47)
+    for _ in range(10):
+        vs = rng.choice((V2, V3, V4))
+        d = rng.randint(1, 5)
+        f = (_fractional_form(vs, d, rng) if field is QQ
+             else random_form(vs, d, rng, field,
+                              density=rng.choice((0.2, 0.7))))
+        for i in range(d + 1):
+            assert catalecticant_rank(f, i) == matrix_rank(
+                contraction_catalecticant(f, i)), (f, i)
 
 
 # -- certified ranks against the Ranestad-Schreyer bound

@@ -1,17 +1,21 @@
 """Additivity pipeline: block splitting, shared-e certification, verdicts,
 and the joint Hilbert function identity."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from apolarity.apolar import perp
+from apolarity.bounds import essential_vars
 from apolarity.errors import (DegreeMismatch, EmptyGeneratorList,
                               EOutOfRange, FieldMismatch, MixedDegrees,
                               ZeroForm)
 from apolarity.families import (ENGINES, FamilyMatch, build_vandermonde,
                                 build_xa_sum_b)
 from apolarity.fields import QQ
-from apolarity.poly import Poly, VarSet, embed_in_varset
+from apolarity.parser import parse_poly
+from apolarity.poly import Poly, VarSet, embed_in_varset, restrict_to_vars
 from apolarity.strassen import (OPEN_PAIRING_QUESTION, lemma52_hf_check,
                                 strassen_rank)
 
@@ -320,3 +324,38 @@ def test_lemma52_validation():
                           (Poly.monomial(U, (0, 0, 2, 2)),
                            [Poly.variable(U, 2, 2)],
                            Poly.variable(U, 2, 2))])
+
+
+def _seeded_block(rng, prefix, d):
+    """A power of a linear form, x^a * (y^b + z^b) with b >= 2 or a
+    monomial, of degree d in variables named prefix0, prefix1, .."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return f"({prefix}0 + {rng.randint(1, 3)}*{prefix}1)^{d}"
+    if kind == 1 and d >= 3:
+        a = rng.randint(1, d - 2)
+        return f"{prefix}0^{a}*({prefix}1^{d - a} + {prefix}2^{d - a})"
+    cut = rng.randint(1, d - 1)
+    return f"{prefix}0^{cut}*{prefix}1^{d - cut}"
+
+
+def test_perp_e_zero_matches_the_annihilator_slice():
+    # strassen reads perp-e-zero off one catalecticant rank; here it is the
+    # dimension of the degree-e slice of the reduced form's annihilator
+    rng = random.Random(131)
+    checked = 0
+    for _ in range(10):
+        d = rng.randint(2, 5)
+        expr = " + ".join(_seeded_block(rng, p, d)
+                          for p in ("x", "y", "z")[:rng.randint(2, 3)])
+        report = strassen_rank(parse_poly(expr), seed=rng.randrange(100))
+        for s in report.summands:
+            if s.e_used is None:
+                continue
+            change, full = essential_vars(s.form)
+            red = restrict_to_vars(
+                full, tuple(range(len(full.varset) - change.removed)))
+            assert s.perp_e_zero == (perp(red).slices[s.e_used].dim == 0), \
+                (expr, s.block)
+            checked += 1
+    assert checked >= 10
