@@ -28,8 +28,9 @@ The assembly has three consumers:
 - catalecticant, the public dense matrix of the true coefficients.
 
 add_principal adds (t) to a sliced ideal by one batch elimination per
-degree. Point evaluations come from one power table per point coordinate,
-over QQ of an integer multiple of the point.
+degree. Point evaluations come from poly._power_values, which also
+expands powers of linear forms, over QQ on an integer multiple of each
+point.
 
 Groebner machinery is deliberately absent; degreewise exact linear algebra
 decides everything needed.
@@ -53,8 +54,8 @@ from .errors import (
 )
 from .fields import QQ, FieldElement, NumberField
 from .linalg import Matrix, Subspace, kernel, matrix_rank
-from .poly import (Exps, Poly, VarSet, _basis, _contract_raw, apolar_action,
-                   space_dim)
+from .poly import (Exps, Poly, VarSet, _basis, _contract_raw, _power_values,
+                   apolar_action, space_dim)
 
 
 @lru_cache(maxsize=None)
@@ -574,6 +575,22 @@ def normalize_point(point: Sequence, field: NumberField) -> tuple[FieldElement, 
     return tuple(v * inv for v in vals)
 
 
+def _raw_points(norm, field: NumberField) -> tuple[list, object, object]:
+    """Normalized points as raw coordinate rows for _power_values, with the
+    one and zero of those rows. Over a degree-1 field each point q becomes
+    den * q as ints, den the lcm of its denominators; q leads with 1, so
+    den * q leads with den."""
+    if field.degree != 1:
+        rows = [[v.coords for v in q] for q in norm]
+        return rows, field.raw_one, field.raw_zero
+    rows = []
+    for q in norm:
+        den = lcm(*(v.coords[0].denominator for v in q))
+        rows.append([v.coords[0].numerator * (den // v.coords[0].denominator)
+                     for v in q])
+    return rows, 1, 0
+
+
 def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
                  field: NumberField = QQ) -> GradedIdeal:
     """The ideal of a finite reduced point set, sliced by evaluation kernels."""
@@ -589,43 +606,16 @@ def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
             raise DuplicatePoint(f"point ({', '.join(str(v) for v in q)}) repeats")
         seen.add(key)
         norm.append(q)
-    mul = field.raw_ops()[0]
-    if field.degree == 1:
-        # an integer multiple of a point scales each evaluation row and
-        # keeps every kernel, so the rows are built from integer points
-        one = 1
-        raw_points = []
-        for q in norm:
-            den = lcm(*(v.coords[0].denominator for v in q))
-            raw_points.append([v.coords[0].numerator
-                               * (den // v.coords[0].denominator) for v in q])
-    else:
-        one = field.raw_one
-        raw_points = [[v.coords for v in q] for q in norm]
-    # powers 0..D of every coordinate of every point
-    tables = []
-    for p in raw_points:
-        table = []
-        for v in p:
-            powers = [one]
-            for _ in range(D):
-                powers.append(mul(powers[-1], v))
-            table.append(powers)
-        tables.append(table)
+    # an integer multiple of a point scales each evaluation row and keeps
+    # every kernel; row i of a point is its monomials of degree i evaluated
+    raw_points, one, zero = _raw_points(norm, field)
+    ops = field.raw_ops()
+    per_point = [_power_values(p, range(D + 1), ops, one, zero, False)
+                 for p in raw_points]
     slices = []
     for i in range(D + 1):
-        basis = _basis(n, i)
-        rows = []
-        for table in tables:
-            row = []
-            for exps in basis:
-                acc = one
-                for powers, e in zip(table, exps):
-                    if e:
-                        acc = mul(acc, powers[e])
-                row.append(acc)
-            rows.append(row)
-        slices.append(kernel(Matrix(field, len(rows), len(basis), rows)))
+        rows = [values[i] for values in per_point]
+        slices.append(kernel(Matrix(field, len(rows), space_dim(n, i), rows)))
     return GradedIdeal(varset, field, D, slices)
 
 

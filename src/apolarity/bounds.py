@@ -9,7 +9,9 @@ An upper bound is an explicit list of points whose d-th powers of linear
 forms combine to F, found by an exact linear solve: linalg.solve returns a
 solution only after the integer check M x = b, whose columns are the
 expanded powers and whose right-hand side is F, so no second expansion is
-needed. (Monomials get their decomposition in closed form, in families.)
+needed. The columns come straight from the point coordinates
+(poly._power_values), over QQ from integer multiples of the points.
+(Monomials get their decomposition in closed form, in families.)
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .apolar import (
     points_ideal,
     principal_sum_hf,
 )
-from .apolar import _poly_raw_vector
+from .apolar import _poly_raw_vector, _raw_points
 from .errors import (
     AmbientMismatch,
     DegreeMismatch,
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .fields import FieldElement, NumberField
 from .linalg import Matrix, Subspace, kernel, rref, solve
-from .poly import (Poly, VarSet, apolar_action, linear_form, power_of_linear,
+from .poly import (Poly, VarSet, _power_values, apolar_action, linear_form,
                    space_dim)
 
 GENERIC_COEFF_BOUND = 997
@@ -260,14 +262,18 @@ def upper_bound_from_points(f: Poly, points,
             raise DuplicatePoint("repeated projective point")
         seen.add(key)
         norm.append(q)
-    powers = [power_of_linear(linear_form(f.varset, p, fld), d) for p in norm]
-    cols = [_poly_raw_vector(g, d) for g in powers]
-    amb = space_dim(len(f.varset), d)
-    mat = Matrix(fld, amb, len(norm), [[col[r] for col in cols]
-                                       for r in range(amb)])
+    raw, one, zero = _raw_points(norm, fld)
+    ops = fld.raw_ops()
+    cols = [_power_values(p, [d], ops, one, zero, True)[0] for p in raw]
+    mat = Matrix(fld, space_dim(len(f.varset), d), len(norm),
+                 [list(row) for row in zip(*cols)])
     sol = solve(mat, fl.to_vector(d))
     if sol is None:
         return None
+    if fld.degree == 1:
+        # column j is (den_j q_j)^d, and den_j q_j leads with den_j, so the
+        # coefficient of q_j^d is the solved one times den_j^d
+        sol = [c * next(v for v in p if v) ** d for c, p in zip(sol, raw)]
     return UpperBoundWitness(tuple(norm), tuple(sol), len(norm), fld)
 
 

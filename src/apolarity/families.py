@@ -813,6 +813,11 @@ def classify(f: Poly) -> FamilyMatch:
     if found is not None:
         j, alpha, _ = found
         return FamilyMatch("X0aG", {"pivot": j, "a": alpha}, CI_CITATION)
+    return _essential_match(f)
+
+
+def _essential_match(f: Poly) -> FamilyMatch:
+    """Binary when two essential variables remain over QQ, else None."""
     if f.field.is_rationals():
         change, _ = essential_vars(f)
         if len(f.varset) - change.removed == 2:
@@ -911,7 +916,13 @@ def _xa_sum_b_engine(f, match, seed, e):
 
 
 def _x0a_g_engine(f, match, seed, e):
-    cert = x0a_g_certificate(f)
+    try:
+        cert = x0a_g_certificate(f)
+    except (HypothesisViolated, NotCIShape):
+        # outside the complete-intersection theorem: answer as a form
+        # with no X0aG match
+        rest = _essential_match(f)
+        return ENGINES[rest.tag](f, rest, seed, e)
     q = Poly.variable(f.varset, match.parameters["pivot"])
     return FamilyAnalysis(match.tag, (cert.rank, cert.rank), cert,
                           (CI_CITATION,), lambda: (cert, {1: ((q,), q)}))

@@ -27,12 +27,13 @@ An intersection A cap B_1 cap ... cap B_m costs sparse reductions of A's
 rows modulo each B_j and one kernel of at most sum codim B_j rows and dim A
 columns: no doubled ambient, no dense row and no second elimination.
 
-solve is the one place that may take a modular route. When the field's
-modulus is a cyclotomic polynomial Phi_m with m >= 3 (detected once per
-modulus), the system is first solved modulo primes p = 1 (mod m), as
-phi(m) scalar eliminations per prime (see modular.py). That route answers
-only when every scalar image has full column rank: the solution is then
-unique, hence the same one Gauss-Jordan would return. An image
+solve is the one place that may take a modular route, over Q = Q(zeta_1)
+(every degree-1 field) and Q(zeta_m), a field whose modulus is the
+cyclotomic polynomial Phi_m (detected once per modulus). The system is
+first solved modulo primes p = 1 (mod m), as phi(m) scalar eliminations
+per prime, one over Q (see modular.py). That route answers only when
+every scalar image has full column rank: the solution is then unique,
+hence the same one Gauss-Jordan would return. An image
 inconsistent at full column rank proves there is no solution. Rank
 deficiency, or no verified solution within a fixed number of primes,
 falls back to exact elimination, as does every other modulus; rref,
@@ -516,11 +517,11 @@ def subspace_intersect(a: Subspace, b: Subspace, *more: Subspace) -> Subspace:
 def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | None:
     """One exact solution of M x = rhs (free variables zero), or None.
 
-    Over Q(zeta_m), m >= 3, a system with at least as many rows as columns
-    is tried modulo primes first. Its answer is exact: a solution comes
-    back only when it is unique and passed an exact check of M x = rhs,
-    and None only when a full-rank modular image proves the system
-    inconsistent. In every other case, and over any other field, the
+    Over Q = Q(zeta_1) and Q(zeta_m), a system with at least as many
+    rows as columns is tried modulo primes first. Its answer is exact: a
+    solution comes back only when it is unique and passed an exact check
+    of M x = rhs, and None only when a full-rank modular image proves the
+    system inconsistent. In every other case, and over any other field, the
     augmented matrix is reduced by exact elimination, and its solution
     must pass the same check or ArithmeticError is raised.
     """
@@ -529,22 +530,25 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | N
         raise AmbientMismatch("right-hand side length does not match the rows")
     aug = [row + [field.to_raw(v)] for row, v in zip(matrix.rows, rhs)]
     n = matrix.ncols
-    m = cyclotomic_index(field.minpoly)
+    if field.degree == 1:
+        # Q = Q(zeta_1) whatever the linear modulus: each raw rational is
+        # wrapped once as the coordinate tuple of one entry
+        coords, m = [[(v,) for v in row] for row in aug], 1
+    else:
+        coords, m = aug, cyclotomic_index(field.minpoly)
     if m is not None and 0 < n <= len(aug):
-        found = solve_cyclotomic(aug, n, m)
+        found = solve_cyclotomic(coords, n, m)
         if found is not UNDECIDED:
-            return None if found is None else [field.from_raw(v) for v in found]
+            # coordinate tuples, which FieldElement holds over every field
+            return None if found is None else [FieldElement(field, v)
+                                               for v in found]
     rows, pivots = _batch_rref(aug, field) if aug else ([], [])
     if any(p == n for p in pivots):
         return None
     x = [field.raw_zero] * n
     for row, p in zip(rows, pivots):
         x[p] = row[n]
-    if field.degree == 1:
-        certified = check_solution([[(v,) for v in row] for row in aug],
-                                   [(v,) for v in x], field.minpoly)
-    else:
-        certified = check_solution(aug, x, field.minpoly)
-    if not certified:
+    sol = [(v,) for v in x] if field.degree == 1 else x
+    if not check_solution(coords, sol, field.minpoly):
         raise ArithmeticError("elimination failed the exact check M x = b")
     return [field.from_raw(v) for v in x]

@@ -1,13 +1,15 @@
 """Multi-modular solve of a linear system over a cyclotomic field Q(zeta_m).
 
-For a prime p = 1 (mod m) the cyclotomic polynomial Phi_m has phi(m)
-distinct roots r_k in F_p, so reduction modulo p sends Z[zeta_m] onto
-phi(m) copies of F_p, one for each substitution zeta_m -> r_k. A system
-over Q(zeta_m) thus becomes phi(m) scalar systems over F_p on plain ints.
-Their solutions are interpolated back to power-basis coordinates mod p,
-combined over several primes by the Chinese remainder theorem, and lifted
-to rationals by rational reconstruction (Wang 1981: numerator and
-denominator bounded by sqrt(M / 2) for a modulus M).
+The rationals are Q(zeta_1): Phi_1 = z - 1, and a rational is a
+coordinate tuple of one entry. For a prime p = 1 (mod m) the cyclotomic
+polynomial Phi_m has phi(m) distinct roots r_k in F_p, so reduction
+modulo p sends Z[zeta_m] onto phi(m) copies of F_p, one for each
+substitution zeta_m -> r_k (for m = 1, every prime and the one root 1).
+A system over Q(zeta_m) thus becomes phi(m) scalar systems over F_p on
+plain ints. Their solutions are interpolated back to power-basis
+coordinates mod p, combined over several primes by the Chinese remainder
+theorem, and lifted to rationals by rational reconstruction (Wang 1981:
+numerator and denominator bounded by sqrt(M / 2) for a modulus M).
 
 Only a system whose scalar images all have full column rank yields a
 candidate. Its solution over Q(zeta_m) is then unique, so it equals the
@@ -84,7 +86,8 @@ def _totient(n: int) -> int:
 
 @lru_cache(maxsize=64)
 def cyclotomic_index(minpoly: tuple) -> int | None:
-    """The m >= 3 with minpoly = Phi_m, or None for any other modulus."""
+    """The m >= 3 with minpoly = Phi_m, or None for any other modulus
+    (a degree-1 field is Q(zeta_1) whatever its modulus)."""
     n = len(minpoly) - 1
     if n < 2 or minpoly[0] != 1:
         return None
@@ -114,9 +117,10 @@ def _inverse_mod(mat: list[list[int]], p: int) -> list[list[int]]:
 @lru_cache(maxsize=256)
 def _prime_data(m: int, i: int):
     """The i-th largest prime p = 1 (mod m) below PRIME_LIMIT, with the
-    powers r_k^j (j < phi(m)) of the roots of Phi_m mod p and the inverse
-    of that Vandermonde matrix, which interpolates values back to
-    power-basis coordinates."""
+    powers r_k^j (j < phi(m)) of the roots r_k = r^k (k < m, gcd(k, m) = 1)
+    of Phi_m mod p and the inverse of that Vandermonde matrix, which
+    interpolates values back to power-basis coordinates. For m = 1 that is
+    the one root r^0 = 1."""
     start = PRIME_LIMIT - 1 if i == 0 else _prime_data(m, i - 1)[0] - 1
     p = start - (start - 1) % m
     while not _is_prime(p):
@@ -130,7 +134,7 @@ def _prime_data(m: int, i: int):
             break
         g += 1
     pows = []
-    for k in range(1, m):
+    for k in range(m):
         if gcd(k, m) == 1:
             rk = pow(r, k, p)
             row = [1]
@@ -252,7 +256,8 @@ def check_solution(rows, sol, minpoly) -> bool:
 
 
 def solve_cyclotomic(rows, ncols: int, m: int):
-    """Solve an augmented system over Q(zeta_m) modulo primes p = 1 (mod m).
+    """Solve an augmented system over Q(zeta_m) modulo primes p = 1 (mod m),
+    m = 1 for Q.
 
     rows are the augmented rows [M | b] of coordinate tuples in the power
     basis of Q[z]/(Phi_m). Returns the solution as coordinate tuples, None

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import (
     FieldMismatch,
@@ -23,7 +23,7 @@ from .errors import (
     VarSetMismatch,
     ZeroForm,
 )
-from .fields import QQ, FieldElement, NumberField, as_fraction
+from .fields import QQ, FieldElement, NumberField
 
 Exps = tuple[int, ...]
 
@@ -408,41 +408,67 @@ def _contract_raw(g_terms, f_terms, mul, add, times) -> dict:
     return out
 
 
-def power_of_linear(linear: Poly, d: int) -> Poly:
-    """Expand L^d for a linear form via multinomials, without repeated products.
+def _power_values(point: Sequence, degrees: Sequence[int], ops, one, zero,
+                  multinomial: bool) -> list[list]:
+    """The products p^alpha of a point's raw coordinates over
+    _basis(n, r), in its order, for each r in degrees; with multinomial,
+    each times multinomial(r; alpha), so the list for r is the coefficient
+    vector of L^r for L = sum p_k x_k. ops is NumberField.raw_ops() (ints
+    work over a degree-1 field).
 
-    Each nonzero coordinate's powers base^0 .. base^d are tabulated once;
-    a monomial using a zero coordinate is skipped before any product.
+    Each coordinate's powers are tabulated once. The lists are built from
+    the last variable up: those of variables k.. in degree r are, for
+    e = r .. 0, p_k^e (times C(r, e)) times those of variables k+1.. in
+    degree r - e, so a product costs one multiplication, not one per
+    variable. A monomial touching a zero coordinate is zero without any
+    product.
     """
+    mul, _, _, is_zero, _, times = ops
+    top = max(degrees)
+    tables = []
+    for v in point:
+        table = None
+        if not is_zero(v):
+            table = [one]
+            for _ in range(top):
+                table.append(mul(table[-1], v))
+        tables.append(table)
+    last = tables[-1]
+    lists = {r: [last[r] if last else one if r == 0 else zero]
+             for r in range(top + 1)}
+    for k in range(len(point) - 2, -1, -1):
+        table = tables[k]
+        below = lists
+        lists = {}
+        for r in degrees if k == 0 else range(top + 1):
+            out = []
+            for e in range(r, 0, -1):
+                tail = below[r - e]
+                if table is None:
+                    out += [zero] * len(tail)
+                    continue
+                c = times(table[e], comb(r, e)) if multinomial else table[e]
+                out += [zero if v is zero else mul(c, v) for v in tail]
+            lists[r] = out + below[r]
+    return [lists[r] for r in degrees]
+
+
+def power_of_linear(linear: Poly, d: int) -> Poly:
+    """Expand L^d for a linear form via multinomials, without repeated
+    products (see _power_values)."""
     if linear.is_zero() or linear.degree() != 1:
         raise ValueError("power_of_linear needs a nonzero linear form")
     if d < 0:
         raise ValueError("the exponent must be nonnegative")
     n = len(linear.varset)
     field = linear.field
-    tables = []
-    for i in range(n):
-        base = linear.coeff(tuple(1 if j == i else 0 for j in range(n)))
-        table = None
-        if not base.is_zero():
-            table = [field.one]
-            for _ in range(d):
-                table.append(table[-1] * base)
-        tables.append(table)
-    terms: dict[Exps, FieldElement] = {}
-    for exps in _basis(n, d):
-        if any(e and table is None for table, e in zip(tables, exps)):
-            continue
-        c = None
-        for table, e in zip(tables, exps):
-            if e:
-                c = table[e] if c is None else c * table[e]
-        mult = _multinomial(d, exps)
-        c = field.from_rational(mult) if c is None else \
-            FieldElement(field, tuple(x * mult if x else x for x in c.coords))
-        if c:
-            terms[exps] = c
-    return Poly(linear.varset, terms, field)
+    coords = [field.to_raw(linear.coeff(tuple(1 if j == i else 0
+                                               for j in range(n))))
+              for i in range(n)]
+    values = _power_values(coords, [d], field.raw_ops(), field.raw_one,
+                           field.raw_zero, True)[0]
+    return Poly(linear.varset, {exps: field.from_raw(v) for exps, v
+                                in zip(_basis(n, d), values)}, field)
 
 
 def split_disjoint(f: Poly) -> list[tuple[Poly, tuple[int, ...]]]:

@@ -25,6 +25,7 @@ from apolarity.errors import (
     ZeroForm,
 )
 from apolarity.fields import QQ, cyclotomic_field
+from apolarity.linalg import _rref_q
 from apolarity.poly import Poly, VarSet, linear_form, monomial_basis
 
 V2 = VarSet(("x0", "x1"))
@@ -192,6 +193,61 @@ def test_upper_bound_expansion_oracle():
             len(f.varset),
         )
         assert got == {e: c.as_fraction() for e, c in f.terms.items()}
+
+
+def unscaled_solution(f, points):
+    """The free-variables-zero solution of the unscaled system: columns
+    L_j^d of the normalized points by repeated Poly products, [M | F]
+    reduced by the exact _rref_q; None when inconsistent."""
+    d = f.degree()
+    cols = []
+    for p in points:
+        lead = next(Fraction(v) for v in p if v)
+        ell = linear_form(f.varset, [Fraction(v) / lead for v in p])
+        power = Poly.constant(f.varset, 1)
+        for _ in range(d):
+            power = power * ell
+        cols.append([c.as_fraction() for c in power.to_vector(d)])
+    rhs = [c.as_fraction() for c in f.to_vector(d)]
+    aug = [[col[r] for col in cols] + [rhs[r]] for r in range(len(rhs))]
+    red, pivots = _rref_q(aug)
+    n = len(points)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, p in zip(red, pivots):
+        x[p] = row[n]
+    return x
+
+
+def test_upper_bound_matches_unscaled_exact_elimination():
+    f3 = (mono(V3, (2, 1, 0), Fraction(1, 3)) + mono(V3, (0, 0, 3), -2)
+          + mono(V3, (1, 1, 1), Fraction(5, 2)))
+    on_a_line = [(1, 0, 0), (0, 1, 0), (2, 3, 0), (1, -1, 0)]
+    cases = [
+        # full rank, with denominators and zero coordinates
+        (f3, [(2, 1, 0), (3, 0, 1), (1, 1, 1), (0, 2, 3), (4, -1, 2),
+              (1, 0, 0), (0, 1, 0), (0, 0, 5), (3, 2, -1), (1, -3, 2)]),
+        # rank deficient: four points on a line, with six rows
+        (mono(V3, (2, 0, 0), 3) + mono(V3, (1, 1, 0), Fraction(-1, 2)),
+         on_a_line),
+        # inconsistent: z^2 is outside the span of the line's squares,
+        # at full column rank and below it
+        (mono(V3, (2, 0, 0)) + mono(V3, (0, 0, 2)), on_a_line[1:]),
+        (mono(V3, (2, 0, 0)) + mono(V3, (0, 0, 2)), on_a_line),
+        # more points than monomials: the elimination path alone
+        (mono(V2, (2, 1), Fraction(7, 3)),
+         [(3, 2), (1, 0), (0, 4), (2, -5), (5, 1)]),
+    ]
+    for f, pts in cases:
+        want = unscaled_solution(f, pts)
+        w = upper_bound_from_points(f, [tuple(map(Fraction, p)) for p in pts])
+        if want is None:
+            assert w is None
+        else:
+            assert [c.as_fraction() for c in w.coefficients] == want
+    assert unscaled_solution(*cases[1])[3] == 0
+    assert unscaled_solution(*cases[2]) is unscaled_solution(*cases[3]) is None
 
 
 def test_upper_bound_inconsistent_returns_none():

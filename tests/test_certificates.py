@@ -154,6 +154,10 @@ class TestSolveCertificate:
         assert not modular.check_solution(aug, sol, field.minpoly)
 
     def test_wrong_elimination_raises(self, monkeypatch):
+        # full-rank systems over QQ are answered modulo primes, so the
+        # faulty elimination is reached through systems that the modular
+        # route hands back: a rank-deficient one, and five points for the
+        # four coefficients of a binary cubic (more columns than rows)
         real = linalg._rref_q
 
         def wrong(rows):
@@ -162,10 +166,42 @@ class TestSolveCertificate:
             return red, pivots
 
         monkeypatch.setattr(linalg, "_rref_q", wrong)
-        rows, rhs, _ = system(QQ, *self.FIELDS[0][1:])
+        entries, x0 = self.FIELDS[0][1:]
+        deficient = [row[:2] + [[row[0][0] + row[1][0]]] for row in entries]
+        rows, rhs, _ = system(QQ, deficient, x0)
         with pytest.raises(ArithmeticError, match="exact check M x = b"):
             solve(Matrix.from_rows(rows, field=QQ), rhs)
-        code, out, err = cli(["ub", "x^2*y", "--points", "1,1; 1,-1; 0,1"])
+        code, out, err = cli(["ub", "x^2*y", "--points",
+                              "1,1; 1,-1; 0,1; 1,2; 1,3"])
         assert (code, out) == (4, "")
         assert err == ("error: internal.ArithmeticError: "
                        "elimination failed the exact check M x = b\n")
+
+    def test_corrupted_modular_candidate_is_never_returned(self, monkeypatch):
+        # every reconstruction is off by one, so the exact check rejects
+        # each candidate; solve must still answer exactly, by elimination
+        real_reconstruct, real_verify = modular._reconstruct, modular._verify
+        verdicts = []
+
+        def corrupted(u, modulus, bound):
+            value = real_reconstruct(u, modulus, bound)
+            return None if value is None else value + 1
+
+        def spy(int_rows, sol, phi):
+            verdicts.append(real_verify(int_rows, sol, phi))
+            return verdicts[-1]
+
+        monkeypatch.setattr(modular, "_reconstruct", corrupted)
+        monkeypatch.setattr(modular, "_verify", spy)
+        rows, rhs, x0 = system(QQ, *self.FIELDS[0][1:])
+        assert solve(Matrix.from_rows(rows, field=QQ), rhs) == x0
+        assert verdicts == [False] * modular.MAX_PRIMES + [True]
+        # the point (2, 1) is normalized to (1, 1/2) and solved as (2, 1)
+        vs = VarSet(("x", "y"))
+        ell = Poly(vs, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+        f = Poly(vs, {(3, 0): 2, (0, 3): Fraction(-1, 8)}) + ell * ell * ell * 3
+        verdicts.clear()
+        w = upper_bound_from_points(f, [(1, 0), (2, 1), (0, 1), (1, 1)])
+        assert [c.as_fraction() for c in w.coefficients] == \
+            [2, 3, Fraction(-1, 8), 0]
+        assert verdicts == [False] * modular.MAX_PRIMES + [True]

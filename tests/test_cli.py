@@ -512,3 +512,43 @@ def test_rank_e_zero_is_refused(capsys):
 def test_rank_e_below_one_is_refused_for_every_family(capsys, form, e):
     assert go(["rank", form, "--e", e], capsys) == (
         1, "", "error: bounds.EOutOfRange: need e >= 1\n")
+
+
+@pytest.mark.parametrize("form,same_rank_as,line,code", [
+    # two essential variables: the binary engine, which agrees with the
+    # monomial the form becomes after a change of coordinates
+    ("x0*(x1 + x2)", "x0*x1", "rank = 2 (binary, certified)", 0),
+    ("x0^2*(x1 + x2)^3", "x0^2*x1^3", "rank = 4 (binary, certified)", 0),
+    # more essential variables: the generic colon bound
+    ("x0*x3*(x1 + x2)", "x0*x1*x2", "rank >= 3 (generic, bounds only)", 2),
+    ("x0^3*(x1^2*x2 + x2^3)", None, "rank >= 6 (generic, bounds only)", 2),
+    ("x0*(x1*x2 + x2*x3 + x3*x1)", None, "rank >= 4 (generic, bounds only)",
+     2),
+])
+def test_x0a_g_outside_the_ci_theorem_answers(capsys, form, same_rank_as,
+                                               line, code):
+    from apolarity.families import classify
+
+    # the form has the X0aG shape, but ci_rank refuses it
+    assert classify(parse_poly(form)).tag == "X0aG"
+    assert go(["rank", form], capsys) == (code, line + "\n", "")
+    got, out, _ = go(["rank", form, "--json"], capsys)
+    data = json.loads(out)
+    assert got == code and data["family"] == line.split("(")[1].split(",")[0]
+    if same_rank_as is not None:
+        _, mono_out, _ = go(["rank", same_rank_as], capsys)
+        rank = int(mono_out.split()[2])
+        if code == 0:
+            assert line.split()[2] == str(rank)
+        else:
+            assert int(line.split()[2]) <= rank
+
+
+def test_strassen_block_outside_the_ci_theorem_answers(capsys):
+    code, out, err = go(["strassen", "x0*(x1 + x2) + y0*y1"], capsys)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[:4] == [
+        "block (x0, x1, x2): binary, rank 2, e options ()",
+        "block (y0, y1): monomial, rank 2, e options (1)",
+        "verdict: conditional",
+        "interval = [4, 4]"]

@@ -561,6 +561,9 @@ class TestExtensionField:
 
 
 CONDUCTORS = (3, 4, 5, 8, 12, 15, 30)
+# every degree-1 field is Q(zeta_1), whatever its linear modulus
+MODULAR_FIELDS = tuple(cyclotomic_field(m) for m in CONDUCTORS) + (
+    QQ, NumberField("z", [-3, 1]))
 
 
 def exact_solution(field, rows, rhs):
@@ -589,13 +592,14 @@ def mat_vec(field, rows, x):
 
 def modular_answer(field, rows, rhs):
     """What the modular route alone returns for the system."""
-    m = modular.cyclotomic_index(field.minpoly)
+    m = 1 if field.degree == 1 else modular.cyclotomic_index(field.minpoly)
     raw = [[e.coords for e in row] + [b.coords] for row, b in zip(rows, rhs)]
     return modular.solve_cyclotomic(raw, len(rows[0]), m)
 
 
 class TestModularSolve:
-    """solve over Q(zeta_m) against exact elimination of [M | b]."""
+    """solve over Q(zeta_m), Q = Q(zeta_1) included, against exact
+    elimination of [M | b]."""
 
     def test_conductor_detection(self):
         for m in CONDUCTORS + (6, 7, 9, 56):
@@ -606,8 +610,7 @@ class TestModularSolve:
 
     def test_full_column_rank_matches_exact(self):
         rng = random.Random(31)
-        for m in CONDUCTORS:
-            field = cyclotomic_field(m)
+        for field in MODULAR_FIELDS:
             for _ in range(3):
                 ncols = rng.randint(1, 4)
                 nrows = ncols + rng.randint(0, 2)
@@ -622,8 +625,7 @@ class TestModularSolve:
 
     def test_denominators(self):
         rng = random.Random(37)
-        for m in CONDUCTORS:
-            field = cyclotomic_field(m)
+        for field in MODULAR_FIELDS:
             rows = [[rand_element(field, rng, 9, (1, 2, 3, 7, 10))
                      for _ in range(3)] for _ in range(4)]
             x0 = [rand_element(field, rng, 9, (1, 4, 9, 11))
@@ -634,8 +636,7 @@ class TestModularSolve:
 
     def test_rank_deficient_falls_back(self):
         rng = random.Random(41)
-        for m in CONDUCTORS:
-            field = cyclotomic_field(m)
+        for field in MODULAR_FIELDS:
             z = field.gen()
             rows = [[rand_element(field, rng) for _ in range(2)]
                     for _ in range(4)]
@@ -652,8 +653,7 @@ class TestModularSolve:
 
     def test_inconsistent_is_none(self):
         rng = random.Random(43)
-        for m in CONDUCTORS:
-            field = cyclotomic_field(m)
+        for field in MODULAR_FIELDS:
             rows = [[rand_element(field, rng) for _ in range(2)]
                     for _ in range(4)]
             rhs = [rand_element(field, rng) for _ in range(4)]
@@ -665,8 +665,7 @@ class TestModularSolve:
         # a repeated row with another right-hand side contradicts before
         # the columns are all pivots; every other row agrees with x0
         rng = random.Random(45)
-        for m in CONDUCTORS:
-            field = cyclotomic_field(m)
+        for field in MODULAR_FIELDS:
             rows = [[rand_element(field, rng) for _ in range(2)]
                     for _ in range(4)]
             rhs = mat_vec(field, rows, [rand_element(field, rng)
@@ -679,19 +678,21 @@ class TestModularSolve:
 
     def test_large_heights_need_several_primes(self, monkeypatch):
         rng = random.Random(47)
-        field = cyclotomic_field(12)
-        rows = [[rand_element(field, rng) for _ in range(3)]
-                for _ in range(5)]
-        x0 = [field.element([Fraction(rng.randint(2**40, 2**41),
-                                      rng.randint(2**33, 2**34))
-                             for _ in range(field.degree)])
-              for _ in range(3)]
-        rhs = mat_vec(field, rows, x0)
-        assert modular_answer(field, rows, rhs) == [v.coords for v in x0]
-        assert solve(Matrix.from_rows(rows, field=field), rhs) == x0
-        monkeypatch.setattr(modular, "MAX_PRIMES", 1)
-        assert modular_answer(field, rows, rhs) is modular.UNDECIDED
-        assert solve(Matrix.from_rows(rows, field=field), rhs) == x0
+        for field in (cyclotomic_field(12), *MODULAR_FIELDS[-2:]):
+            rows = [[rand_element(field, rng) for _ in range(3)]
+                    for _ in range(5)]
+            x0 = [field.element([Fraction(rng.randint(2**40, 2**41),
+                                          rng.randint(2**33, 2**34))
+                                 for _ in range(field.degree)])
+                  for _ in range(3)]
+            rhs = mat_vec(field, rows, x0)
+            with monkeypatch.context() as patch:
+                assert modular_answer(field, rows, rhs) == \
+                    [v.coords for v in x0]
+                assert solve(Matrix.from_rows(rows, field=field), rhs) == x0
+                patch.setattr(modular, "MAX_PRIMES", 1)
+                assert modular_answer(field, rows, rhs) is modular.UNDECIDED
+                assert solve(Matrix.from_rows(rows, field=field), rhs) == x0
 
     def test_reconstruction_respects_its_bound(self):
         p = 1000003

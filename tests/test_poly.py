@@ -7,6 +7,7 @@ from apolarity.fields import QQ, NumberField, cyclotomic_field, root_of_unity
 from apolarity.poly import (
     Poly,
     _basis,
+    _power_values,
     VarSet,
     apolar_action,
     embed_in_varset,
@@ -143,6 +144,56 @@ class TestPowerOfLinear:
             if d >= 8:
                 assert power_of_linear(ell, d) == by_products
         assert power_of_linear(ell, 0) == Poly.constant(V3, 1, field)
+
+    @staticmethod
+    def oracle_cases():
+        """(field, coordinates): QQ with denominators and zero coordinates,
+        and Q(zeta_5) with zero coordinates."""
+        q = [Fraction(v) for v in (2, 0, Fraction(-3, 4), 0, Fraction(5, 7))]
+        yield QQ, q[:3]
+        yield QQ, [Fraction(0), Fraction(1, 3), Fraction(-2)]
+        yield QQ, q
+        yield QQ, [Fraction(-7, 2)]
+        field = cyclotomic_field(5)
+        z = field.gen()
+        yield field, [z, field.zero, z * z * 3 - Fraction(1, 2), field.one]
+        yield field, [field.zero, root_of_unity(field, 5, 4) + 2]
+
+    def test_raw_columns_match_repeated_products(self):
+        # L^d by d Poly products, against the raw multinomial columns,
+        # power_of_linear and the plain products p^alpha of points_ideal
+        for field, coords in self.oracle_cases():
+            coords = [c if hasattr(c, "coords") else field.from_rational(c)
+                      for c in coords]
+            vs = VarSet(f"x{i}" for i in range(len(coords)))
+            ell = linear_form(vs, coords, field)
+            raw = [field.to_raw(c) for c in coords]
+            ops = field.raw_ops()
+            degrees = list(range(7))
+            weighted = _power_values(raw, degrees, ops, field.raw_one,
+                                     field.raw_zero, True)
+            plain = _power_values(raw, degrees, ops, field.raw_one,
+                                  field.raw_zero, False)
+            by_products = Poly.constant(vs, 1, field)
+            for d in degrees:
+                basis = _basis(len(vs), d)
+                assert [field.from_raw(v) for v in weighted[d]] == \
+                    by_products.to_vector(d)
+                assert power_of_linear(ell, d) == by_products
+                for exps, v in zip(basis, plain[d]):
+                    want = field.one
+                    for c, e in zip(coords, exps):
+                        want = want * c ** e
+                    assert field.from_raw(v) == want
+                by_products = by_products * ell
+            # a single degree comes out alone, and ints work over QQ
+            assert _power_values(raw, [5], ops, field.raw_one,
+                                 field.raw_zero, True) == [weighted[5]]
+        ints = _power_values([3, 0, -2], [4], QQ.raw_ops(), 1, 0, True)[0]
+        ell = linear_form(V3, [3, 0, -2])
+        assert ints == [c.as_fraction() for c in (ell * ell * ell * ell)
+                        .to_vector(4)]
+        assert all(type(v) is int for v in ints)
 
     def test_contraction_identity_sample(self):
         # g o L^d = d!/(d-delta)! g(a) L^(d-delta) for L = a0 x0 + a1 x1
