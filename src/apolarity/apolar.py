@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, perm
+from math import perm
 from typing import Sequence
 
 from .errors import (
@@ -52,7 +52,7 @@ from .errors import (
     NonHomogeneous,
     ZeroForm,
 )
-from .fields import QQ, FieldElement, NumberField
+from .fields import QQ, FieldElement, NumberField, clear_denominators
 from .linalg import Matrix, Subspace, kernel, matrix_rank
 from .poly import (Exps, Poly, VarSet, _basis, _contract_raw, _power_values,
                    apolar_action, space_dim)
@@ -311,12 +311,12 @@ def perp(f: Poly, D: int | None = None) -> GradedIdeal:
     return _annihilator([f], f.degree() + 1 if D is None else D)
 
 
-def ideal_from_generators(varset: VarSet, gens: Sequence[Poly], D: int,
-                          field: NumberField | None = None) -> GradedIdeal:
+def ideal_from_generators(varset: VarSet, gens: Sequence[Poly],
+                          D: int) -> GradedIdeal:
     """Slices of (g_1, .., g_k) up to D, built by ascending-degree closure."""
     if not gens:
         raise EmptyGeneratorList("need at least one generator")
-    field = field or gens[0].field
+    field = gens[0].field
     n = len(varset)
     by_degree: dict[int, list[Poly]] = {}
     for g in gens:
@@ -353,6 +353,23 @@ def colon_by_form(f: Poly, t: Poly, D: int | None = None) -> GradedIdeal:
                         f.degree() + 1 if D is None else D)
 
 
+def _gens_degree(gens: Sequence[Poly]) -> int:
+    """The one degree e >= 1 of a nonempty list of nonzero forms."""
+    if not gens:
+        raise EmptyGeneratorList("need ideal generators")
+    degrees = set()
+    for g in gens:
+        if g.is_zero():
+            raise ZeroForm("zero ideal generator")
+        degrees.add(g.degree())
+    if len(degrees) != 1:
+        raise DegreeMismatch(f"generators span degrees {sorted(degrees)}")
+    e = degrees.pop()
+    if e < 1:
+        raise DegreeMismatch("generators must have positive degree")
+    return e
+
+
 def colon_by_ideal(f: Poly, gens: Sequence[Poly], D: int | None = None) -> GradedIdeal:
     """(F_perp : I) for I generated in one degree.
 
@@ -361,19 +378,7 @@ def colon_by_ideal(f: Poly, gens: Sequence[Poly], D: int | None = None) -> Grade
     degree one kernel of their stacked catalecticants, with no intersection
     of per-generator colons.
     """
-    if not gens:
-        raise EmptyGeneratorList("colon needs at least one generator")
-    degrees = set()
-    for g in gens:
-        if g.is_zero():
-            raise ZeroForm("zero generator in the colon ideal")
-        if not g.is_homogeneous():
-            raise NonHomogeneous(f"generator {g} is not homogeneous")
-        degrees.add(g.degree())
-    if len(degrees) != 1:
-        raise DegreeMismatch(f"generators span degrees {sorted(degrees)}")
-    if degrees.pop() < 1:
-        raise DegreeMismatch("generators must have positive degree")
+    _gens_degree(gens)
     if f.is_zero():
         raise ZeroForm("colon against the zero form")
     return _annihilator([apolar_action(g, f) for g in gens],
@@ -390,8 +395,7 @@ def add_principal(ideal: GradedIdeal, t: Poly) -> GradedIdeal:
         raise ZeroForm("cannot add the zero form")
     if t.varset != ideal.varset:
         raise AmbientMismatch("t lives over a different variable set")
-    if t.field != ideal.field:
-        t = t.lift(ideal.field)
+    t = t.lift(ideal.field)
     e = t.degree()
     if e < 1 or e > ideal.D:
         raise DegreeMismatch(f"degree of t must lie in 1..{ideal.D}")
@@ -467,8 +471,8 @@ def _integral_terms(g: Poly) -> list[tuple[Exps, object]]:
     terms = _poly_raw_terms(g)
     if g.field.degree != 1:
         return terms
-    den = lcm(*(c.denominator for _, c in terms))
-    return [(exps, c.numerator * (den // c.denominator)) for exps, c in terms]
+    _, ints = clear_denominators(c for _, c in terms)
+    return [(exps, c) for (exps, _), c in zip(terms, ints)]
 
 
 def _stacked_rank(field: NumberField, forms: Sequence[tuple], i: int) -> int:
@@ -575,6 +579,24 @@ def normalize_point(point: Sequence, field: NumberField) -> tuple[FieldElement, 
     return tuple(v * inv for v in vals)
 
 
+def _checked_points(points: Sequence[Sequence], n: int,
+                    field: NumberField) -> list[tuple[FieldElement, ...]]:
+    """The points normalized, each checked to have n coordinates and to
+    differ from the earlier ones as a projective point."""
+    norm, seen = [], set()
+    for p in points:
+        if len(p) != n:
+            raise AmbientMismatch(
+                "point length does not match the variable count")
+        q = normalize_point(p, field)
+        key = tuple(v.coords for v in q)
+        if key in seen:
+            raise DuplicatePoint("repeated projective point")
+        seen.add(key)
+        norm.append(q)
+    return norm
+
+
 def _raw_points(norm, field: NumberField) -> tuple[list, object, object]:
     """Normalized points as raw coordinate rows for _power_values, with the
     one and zero of those rows. Over a degree-1 field each point q becomes
@@ -583,29 +605,14 @@ def _raw_points(norm, field: NumberField) -> tuple[list, object, object]:
     if field.degree != 1:
         rows = [[v.coords for v in q] for q in norm]
         return rows, field.raw_one, field.raw_zero
-    rows = []
-    for q in norm:
-        den = lcm(*(v.coords[0].denominator for v in q))
-        rows.append([v.coords[0].numerator * (den // v.coords[0].denominator)
-                     for v in q])
-    return rows, 1, 0
+    return [clear_denominators(v.coords[0] for v in q)[1] for q in norm], 1, 0
 
 
 def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
                  field: NumberField = QQ) -> GradedIdeal:
     """The ideal of a finite reduced point set, sliced by evaluation kernels."""
     n = len(varset)
-    norm = []
-    seen = set()
-    for p in points:
-        if len(p) != n:
-            raise AmbientMismatch("point length does not match the variable count")
-        q = normalize_point(p, field)
-        key = tuple(v.coords for v in q)
-        if key in seen:
-            raise DuplicatePoint(f"point ({', '.join(str(v) for v in q)}) repeats")
-        seen.add(key)
-        norm.append(q)
+    norm = _checked_points(points, n, field)
     # an integer multiple of a point scales each evaluation row and keeps
     # every kernel; row i of a point is its monomials of degree i evaluated
     raw_points, one, zero = _raw_points(norm, field)

@@ -24,17 +24,13 @@ from .apolar import (
     HFProfile,
     add_principal,
     catalecticant,
-    normalize_point,
     perp,
     points_ideal,
     principal_sum_hf,
 )
-from .apolar import _poly_raw_vector, _raw_points
+from .apolar import _checked_points, _gens_degree, _poly_raw_vector, _raw_points
 from .errors import (
-    AmbientMismatch,
     DegreeMismatch,
-    DuplicatePoint,
-    EmptyGeneratorList,
     EOutOfRange,
     FieldMismatch,
     PointsNotApolar,
@@ -44,7 +40,7 @@ from .errors import (
 from .fields import FieldElement, NumberField
 from .linalg import Matrix, Subspace, kernel, rref, solve
 from .poly import (Poly, VarSet, _power_values, apolar_action, linear_form,
-                   space_dim)
+                   restrict_to_vars, space_dim)
 
 GENERIC_COEFF_BOUND = 997
 GENERIC_DRAWS = 5
@@ -136,24 +132,6 @@ class RankCertificate:
         return out
 
 
-def _validate_gens(f: Poly, gens) -> int:
-    if not gens:
-        raise EmptyGeneratorList("need ideal generators")
-    degs = set()
-    for g in gens:
-        if g.is_zero():
-            raise ZeroForm("zero ideal generator")
-        degs.add(g.degree())
-    if len(degs) != 1:
-        raise DegreeMismatch(f"generators span degrees {sorted(degs)}")
-    e = degs.pop()
-    if e < 1:
-        raise DegreeMismatch("generators must have positive degree")
-    if e > f.degree():
-        raise EOutOfRange(f"e = {e} exceeds deg F = {f.degree()}")
-    return e
-
-
 def _gen_span(gens, e: int) -> Subspace:
     f0 = gens[0]
     amb = space_dim(len(f0.varset), e)
@@ -177,8 +155,10 @@ def lower_bound(f: Poly, gens, t: Poly | None = None,
     d = f.degree()
     if d < 1:
         raise DegreeMismatch("constant forms have no rank bound")
-    gens = [g if g.field == f.field else g.lift(f.field) for g in gens]
-    e = _validate_gens(f, gens)
+    gens = [g.lift(f.field) for g in gens]
+    e = _gens_degree(gens)
+    if e > d:
+        raise EOutOfRange(f"e = {e} exceeds deg F = {d}")
     span = _gen_span(gens, e)
     # (F_perp : I) is the common annihilator of the forms g o F
     forms = [apolar_action(g, f) for g in gens]
@@ -189,8 +169,7 @@ def lower_bound(f: Poly, gens, t: Poly | None = None,
                 for tc, profile in zip(ts, principal_sum_hf(forms, ts, d + 1))]
 
     if t is not None:
-        if t.field != f.field:
-            t = t.lift(f.field)
+        t = t.lift(f.field)
         if t.is_zero() or t.degree() != e:
             raise DegreeMismatch("t must be nonzero of the generators' degree")
         if not span.contains_raw(_poly_raw_vector(t, e)):
@@ -218,8 +197,8 @@ def lower_bound(f: Poly, gens, t: Poly | None = None,
     return min(witnesses(draws, "generic-t"), key=lambda w: w.profile.total())
 
 
-def _unify_field(f: Poly, points, field: NumberField | None):
-    found = field
+def _unify_field(f: Poly, points):
+    found = None
     for p in points:
         for v in p:
             if isinstance(v, FieldElement) and not v.field.is_rationals():
@@ -236,9 +215,7 @@ def _unify_field(f: Poly, points, field: NumberField | None):
     return found
 
 
-def upper_bound_from_points(f: Poly, points,
-                            field: NumberField | None = None
-                            ) -> UpperBoundWitness | None:
+def upper_bound_from_points(f: Poly, points) -> UpperBoundWitness | None:
     """Solve F = sum c_i L_i^d over the given projective points exactly.
 
     Returns None when the system is inconsistent (the points are not apolar
@@ -248,26 +225,14 @@ def upper_bound_from_points(f: Poly, points,
     if f.is_zero():
         raise ZeroForm("no decomposition for the zero form")
     d = f.degree()
-    fld = _unify_field(f, points, field)
-    fl = f.lift(fld)
-    norm = []
-    seen = set()
-    for p in points:
-        if len(p) != len(f.varset):
-            raise AmbientMismatch(
-                "point length does not match the variable count")
-        q = normalize_point(p, fld)
-        key = tuple(v.coords for v in q)
-        if key in seen:
-            raise DuplicatePoint("repeated projective point")
-        seen.add(key)
-        norm.append(q)
+    fld = _unify_field(f, points)
+    norm = _checked_points(points, len(f.varset), fld)
     raw, one, zero = _raw_points(norm, fld)
     ops = fld.raw_ops()
     cols = [_power_values(p, [d], ops, one, zero, True)[0] for p in raw]
     mat = Matrix(fld, space_dim(len(f.varset), d), len(norm),
                  [list(row) for row in zip(*cols)])
-    sol = solve(mat, fl.to_vector(d))
+    sol = solve(mat, f.lift(fld).to_vector(d))
     if sol is None:
         return None
     if fld.degree == 1:
@@ -324,15 +289,16 @@ def prop36_check(f: Poly, points, gens, t: Poly) -> Prop36Report:
     if f.is_zero():
         raise ZeroForm("no check for the zero form")
     d = f.degree()
-    e = _validate_gens(f, [g if g.field == f.field else g.lift(f.field)
-                           for g in gens])
-    fld = _unify_field(f, points, None)
+    e = _gens_degree([g.lift(f.field) for g in gens])
+    if e > d:
+        raise EOutOfRange(f"e = {e} exceeds deg F = {d}")
+    fld = _unify_field(f, points)
     ix = points_ideal(points, f.varset, d + 1, fld)
-    fperp = perp(f, d + 1).lift(fld) if f.field != fld else perp(f, d + 1)
+    fperp = perp(f, d + 1).lift(fld)
     for i in range(d + 1):
         if not fperp.slices[i].contains_subspace(ix.slices[i]):
             raise PointsNotApolar(f"point ideal escapes ann(F) in degree {i}")
-    tl = t if t.field == fld else t.lift(fld)
+    tl = t.lift(fld)
     if tl.is_zero() or tl.degree() != e:
         raise DegreeMismatch("t must be nonzero of the generators' degree")
     lhs = add_principal(ix, tl)
@@ -390,6 +356,9 @@ def essential_vars(f: Poly) -> tuple[ChangeOfBasis, Poly]:
     The degree-1 part of ann(F) spans the operators killed by F; extending
     its basis and dualizing yields coordinates in which F uses only the
     first n - s variables. The identity change is returned when s = 0.
+    F is constant along that kernel, so the reduced form, change.apply(F),
+    is F with the kernel's pivot variables set to 0 and its free variables
+    moved to the front: no substitution is expanded.
     """
     if f.is_zero():
         raise ZeroForm("the zero form involves no variables")
@@ -408,9 +377,18 @@ def essential_vars(f: Poly) -> tuple[ChangeOfBasis, Poly]:
     rows += [tuple(vec) for vec in ker.vectors()]
     forward = tuple(rows)
     inverse = _invert_rows(forward, fld)
-    change = ChangeOfBasis(f.varset, fld, forward, inverse, s)
-    reduced = change.apply(f)
-    return change, reduced
+    pad = (0,) * s
+    reduced = Poly(f.varset, {tuple(e[j] for j in frees) + pad: c
+                              for e, c in f.terms.items()
+                              if not any(e[p] for p in pivset)}, fld)
+    return ChangeOfBasis(f.varset, fld, forward, inverse, s), reduced
+
+
+def essential_form(f: Poly) -> tuple[int, Poly]:
+    """(ess, F in its ess essential variables, named as F's first ess)."""
+    change, reduced = essential_vars(f)
+    ess = len(f.varset) - change.removed
+    return ess, restrict_to_vars(reduced, range(ess))
 
 
 @dataclass(frozen=True)

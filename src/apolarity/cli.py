@@ -22,9 +22,9 @@ import json
 import sys
 
 from .apolar import catalecticant_rank, minimal_generators, perp, perp_hf
-from .bounds import certify, essential_vars, lower_bound, upper_bound_from_points
+from .bounds import certify, essential_form, lower_bound, upper_bound_from_points
 from .errors import ApolarityError, ParseError
-from .families import analyze, sylvester, vandermonde
+from .families import _variables, analyze, sylvester, vandermonde
 from .parser import parse_extension, parse_poly
 from .poly import Poly, restrict_to_vars, space_dim, split_disjoint
 from .strassen import strassen_rank
@@ -42,7 +42,8 @@ def _read_expr(text: str) -> str:
     return text
 
 
-def _load_form(args) -> Poly:
+def _load_form(args) -> tuple[Poly, str | None]:
+    """The form, and the name of the extension generator if --ext gave one."""
     field = None
     gen_name = None
     if getattr(args, "ext", None):
@@ -51,7 +52,7 @@ def _load_form(args) -> Poly:
     if getattr(args, "vars", None):
         varnames = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     return parse_poly(_read_expr(args.expr), varnames=varnames, field=field,
-                      gen_name=gen_name), field, gen_name
+                      gen_name=gen_name), gen_name
 
 
 def _parse_ops(text: str, form: Poly, gen_name) -> list[Poly]:
@@ -96,7 +97,7 @@ def _hf_rows(values) -> list[str]:
 
 
 def _cmd_perp(args):
-    f, _, _ = _load_form(args)
+    f, _ = _load_form(args)
     D = args.degree_cap if args.degree_cap is not None else f.degree() + 1
     ideal = perp(f, D)
     lines = []
@@ -114,7 +115,7 @@ def _cmd_perp(args):
 
 
 def _cmd_gens(args):
-    f, _, _ = _load_form(args)
+    f, _ = _load_form(args)
     D = args.degree_cap if args.degree_cap is not None else f.degree() + 1
     gens = minimal_generators(perp(f, D))
     lines = [f"deg {g.degree()}: {g.dual_str()}" for g in gens]
@@ -126,7 +127,7 @@ def _cmd_gens(args):
 
 
 def _cmd_hf(args):
-    f, _, _ = _load_form(args)
+    f, _ = _load_form(args)
     D = args.degree_cap if args.degree_cap is not None else f.degree() + 1
     profile = perp_hf(f, D)
     data = {"module": "apolar", "form": str(f),
@@ -136,7 +137,7 @@ def _cmd_hf(args):
 
 
 def _cmd_cat(args):
-    f, _, _ = _load_form(args)
+    f, _ = _load_form(args)
     if args.e is None:
         raise ParseError("cat requires --e", 0)
     r = catalecticant_rank(f, args.e)
@@ -150,12 +151,11 @@ def _cmd_cat(args):
 
 
 def _cmd_lb(args):
-    f, _, gen_name = _load_form(args)
+    f, gen_name = _load_form(args)
     if args.ideal:
         gens = _parse_ops(args.ideal, f, gen_name)
     else:
-        gens = [Poly.variable(f.varset, i, field=f.field)
-                for i in range(len(f.varset))]
+        gens = _variables(f)
     t = None
     if args.t:
         ops = _parse_ops(args.t, f, gen_name)
@@ -173,7 +173,7 @@ def _cmd_lb(args):
 
 
 def _cmd_ub(args):
-    f, _, gen_name = _load_form(args)
+    f, gen_name = _load_form(args)
     if not args.points:
         raise ParseError("ub requires --points", 0)
     pts = _parse_points(args.points, f, gen_name)
@@ -194,7 +194,7 @@ def _cmd_ub(args):
 
 
 def _cmd_certify(args):
-    f, _, gen_name = _load_form(args)
+    f, gen_name = _load_form(args)
     if not args.ideal:
         raise ParseError("certify requires --ideal", 0)
     gens = _parse_ops(args.ideal, f, gen_name)
@@ -220,7 +220,7 @@ def _cmd_certify(args):
 
 
 def _cmd_rank(args):
-    f, _, _ = _load_form(args)
+    f, _ = _load_form(args)
     found = analyze(f, seed=args.seed, e=1 if args.e is None else args.e)
     label = FAMILY_LABEL[found.tag]
     data = {"module": "families", "form": str(f), "family": label}
@@ -237,7 +237,7 @@ def _cmd_rank(args):
 
 
 def _cmd_sylvester(args):
-    f, _, _ = _load_form(args)
+    f, _ = _load_form(args)
     syl = sylvester(f)
     sq = "squarefree" if syl.squarefree_h1 else "not squarefree"
     lines = [f"h1 = {syl.h1.dual_str()} (degree {syl.d1}, {sq})",
@@ -250,7 +250,7 @@ def _cmd_sylvester(args):
 
 
 def _cmd_strassen(args):
-    f, _, _ = _load_form(args)
+    f, _ = _load_form(args)
     report = strassen_rank(f, e=args.e, seed=args.seed)
     lines = []
     for s in report.summands:
@@ -291,7 +291,7 @@ def _cmd_vandermonde(args):
 
 
 def _cmd_split(args):
-    f, _, _ = _load_form(args)
+    f, _ = _load_form(args)
     blocks = split_disjoint(f)
     lines = []
     items = []
@@ -306,14 +306,12 @@ def _cmd_split(args):
 
 
 def _cmd_reduce(args):
-    f, _, _ = _load_form(args)
-    change, reduced = essential_vars(f)
+    f, _ = _load_form(args)
+    k, red = essential_form(f)
     n = len(f.varset)
-    k = n - change.removed
-    red = restrict_to_vars(reduced, tuple(range(k)))
     lines = [f"essential variables: {k} of {n}", f"reduced = {red}"]
     data = {"module": "bounds", "form": str(f), "essential": k,
-            "removed": change.removed, "reduced": str(red)}
+            "removed": n - k, "reduced": str(red)}
     _emit(args, data, lines)
     return 0
 

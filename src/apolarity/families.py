@@ -24,7 +24,7 @@ from .bounds import (
     RankCertificate,
     UpperBoundWitness,
     certify,
-    essential_vars,
+    essential_form,
     lower_bound,
     upper_bound_from_points,
     witness_fields,
@@ -41,11 +41,11 @@ from .errors import (
     ParameterOutOfRange,
     ZeroForm,
 )
-from .fields import (QQ, NumberField, cyclotomic, cyclotomic_field,
-                     root_of_unity, roots_of_unity, squarefree_check,
-                     squarefree_decomposition, uni_degree, uni_eval, uni_trim)
-from .poly import (Poly, VarSet, _basis, _multinomial, apolar_action,
-                   embed_in_varset, restrict_to_vars)
+from .fields import (QQ, NumberField, clear_denominators, cyclotomic,
+                     cyclotomic_field, root_of_unity, roots_of_unity,
+                     squarefree_check, squarefree_decomposition, uni_degree,
+                     uni_eval, uni_trim)
+from .poly import Poly, VarSet, _basis, _multinomial, apolar_action
 
 MONOMIAL_CITATION = (
     "rk(x0^a0*...*xn^an) = prod_{i>=1}(a_i+1) when 0 < a0 <= a_i for all i; "
@@ -157,11 +157,9 @@ def sylvester(f: Poly) -> SylvesterResult:
     d = f.degree()
     if d < 1:
         raise DegreeMismatch("constants have no rank")
-    change, red = essential_vars(f)
-    ess = len(f.varset) - change.removed
+    ess, g = essential_form(f)
     if ess != 2:
         raise NotBinary(f"form uses {ess} essential variables, not 2")
-    g = restrict_to_vars(red, (0, 1))
     gens = minimal_generators(perp(g, d + 1))
     if len(gens) != 2:
         raise ArithmeticError("binary annihilator did not have two generators")
@@ -213,8 +211,7 @@ def _rational_linear_factors(h: Poly) -> list[Poly]:
         p = p[v:]
     if uni_degree(p) >= 1:
         # rational root theorem after clearing denominators
-        den = math.lcm(*(c.denominator for c in p))
-        ints = [int(c * den) for c in p]
+        _, ints = clear_denominators(p)
         lead, const = ints[-1], ints[0]
         seen = set()
         for num in _divisors(const):
@@ -517,9 +514,19 @@ def xa_sum_b_rank(a: int, b: int, n: int, plus_power: bool = False,
     """
     if a < 1 or b < 2 or n < 2:
         raise ParameterOutOfRange("need a >= 1, b >= 2, n >= 2")
-    form = build_xa_sum_b(a, b, n, plus_power)
+    return _xa_sum_b(build_xa_sum_b(a, b, n, plus_power), a, b, n,
+                     plus_power, 0, range(1, n + 1), seed)
+
+
+def _xa_sum_b(form: Poly, a: int, b: int, n: int, plus_power: bool,
+              pivot: int, others, seed: int) -> XaSumBResult:
+    """xa_sum_b_rank's answer for a rational form that is
+    x_p^a*(sum of x_i^b over the n variables i in others), plus x_p^(a+b)
+    with plus_power, p the pivot, found on the form itself: the colons by
+    X_p and by the X_i in the order of others, and the points on the lines
+    through the dual points of x_p and x_i."""
     varset = form.varset
-    x0 = Poly.variable(varset, 0)
+    x0 = Poly.variable(varset, pivot)
 
     if plus_power and a + 1 < b:
         witness = lower_bound(form, [x0], x0)
@@ -543,7 +550,7 @@ def xa_sum_b_rank(a: int, b: int, n: int, plus_power: bool = False,
                             (XASUMB_N2_CITATION,))
 
     if a + 1 >= b:
-        gens = [Poly.variable(varset, i) for i in range(1, n + 1)]
+        gens = [Poly.variable(varset, i) for i in others]
         witness = lower_bound(form, gens, None, seed)
         expected = (1,) + (n,) * a + (n - 1,)
         rank = (a + 1) * n
@@ -556,15 +563,26 @@ def xa_sum_b_rank(a: int, b: int, n: int, plus_power: bool = False,
         if b <= a and not plus_power:
             fld = cyclotomic_field(a + 1)
             points = []
-            for i in range(1, n + 1):
+            for i in others:
                 for k in range(a + 1):
-                    coords = [fld.zero] * (n + 1)
-                    coords[0] = root_of_unity(fld, a + 1, k)
+                    coords = [fld.zero] * len(varset)
+                    coords[pivot] = root_of_unity(fld, a + 1, k)
                     coords[i] = fld.one
                     points.append(tuple(coords))
             upper = upper_bound_from_points(form, points)
             if upper is None or upper.count != rank:
                 raise ArithmeticError("union of monomial points failed to solve")
+            # reported with coordinate 1 at the pivot: a point normalized
+            # at an earlier variable has pivot coordinate zeta^k, divided
+            # out, and its coefficient is multiplied by zeta^(k(a+b))
+            roots = roots_of_unity(fld, a + 1)
+            points, coeffs = [], []
+            for p, c in zip(upper.points, upper.coefficients):
+                k = roots.index(p[pivot])
+                points.append(tuple(v * roots[-k] for v in p) if k else p)
+                coeffs.append(c * roots[k * (a + b) % (a + 1)] if k else c)
+            upper = replace(upper, points=tuple(points),
+                            coefficients=tuple(coeffs))
             return XaSumBResult(form, a, b, n, plus_power, "a+1>=b", rank,
                                 (rank, rank), witness, upper,
                                 "certified-equal", cites)
@@ -818,10 +836,8 @@ def classify(f: Poly) -> FamilyMatch:
 
 def _essential_match(f: Poly) -> FamilyMatch:
     """Binary when two essential variables remain over QQ, else None."""
-    if f.field.is_rationals():
-        change, _ = essential_vars(f)
-        if len(f.varset) - change.removed == 2:
-            return FamilyMatch("Binary", {}, BINARY_CITATION)
+    if f.field.is_rationals() and essential_form(f)[0] == 2:
+        return FamilyMatch("Binary", {}, BINARY_CITATION)
     return FamilyMatch("None", {}, "")
 
 
@@ -876,36 +892,13 @@ def _vandermonde_engine(f, match, seed, e):
                           (res.citation,), lambda: (cert, {1: ((t,), t)}))
 
 
-def _on_form(res: XaSumBResult, f: Poly, index_map) -> XaSumBResult:
-    """res, computed on build_xa_sum_b's ring, moved onto F: the form
-    itself, and the witness generators, t and points with canonical
-    variable k sent to F's variable index_map[k]."""
-    def embed(g):
-        return embed_in_varset(g, f.varset, index_map)
-
-    lower = replace(res.lower, gens=tuple(embed(g) for g in res.lower.gens),
-                    t=embed(res.lower.t))
-    upper = res.upper
-    if upper is not None:
-        points = []
-        for p in upper.points:
-            point = [upper.field.zero] * len(f.varset)
-            for k, v in zip(index_map, p):
-                point[k] = v
-            points.append(tuple(point))
-        upper = replace(upper, points=tuple(points))
-    return replace(res, form=f, lower=lower, upper=upper)
-
-
 def _xa_sum_b_engine(f, match, seed, e):
-    a, b, n = (match.parameters[k] for k in ("a", "b", "n"))
-    # build_xa_sum_b's x0 is the pivot of F, its x1..xn F's other
-    # variables in order
-    pivot = match.parameters["pivot"]
-    index_map = [pivot] + [i for i in f.support_vars() if i != pivot]
-    res = _on_form(xa_sum_b_rank(a, b, n, seed=seed,
-                                 plus_power=match.tag == "XaSumBPlusPower"),
-                   f, index_map)
+    a, b, n, pivot = (match.parameters[k] for k in ("a", "b", "n", "pivot"))
+    # every coefficient is 1 (classify), so F is read over QQ: the points
+    # of its decomposition lie in Q(zeta_(a+1)), which need not be F's field
+    res = _xa_sum_b(Poly(f.varset, dict.fromkeys(f.terms, 1)), a, b, n,
+                    match.tag == "XaSumBPlusPower", pivot,
+                    [i for i in f.support_vars() if i != pivot], seed)
     cert = _block_certificate(f, res, res.citations[0])
     options = {}
     if res.rank is not None and res.regime != "open":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (FieldMismatch, InvalidExtension, NotInvertible, ZeroForm,
@@ -29,6 +30,14 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot coerce {value!r} to a rational")
+
+
+def clear_denominators(values: Iterable) -> tuple[int, list[int]]:
+    """(den, [den * v for v in values]) as ints, den the lcm of the
+    denominators of the rationals (or ints) in values."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,11 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .errors import AmbientMismatch, FieldMismatch
-from .fields import QQ, FieldElement, NumberField
+from .fields import QQ, FieldElement, NumberField, clear_denominators
 from .modular import (UNDECIDED, check_solution, cyclotomic_index,
                       solve_cyclotomic)
 
@@ -77,11 +77,8 @@ def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
     of ints are only divided by their content."""
     mat: list[list[int]] = []
     for row in rows:
-        if set(map(type, row)) == _INT:
-            ints = list(row)
-        else:
-            den = lcm(*(c.denominator for c in row))
-            ints = [c.numerator * (den // c.denominator) for c in row]
+        ints = (list(row) if set(map(type, row)) == _INT
+                else clear_denominators(row)[1])
         g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]

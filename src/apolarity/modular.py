@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .fields import cyclotomic
+from .fields import clear_denominators, cyclotomic
 
 UNDECIDED = object()
 MAX_PRIMES = 16
@@ -201,19 +201,19 @@ def _reconstruct(u: int, modulus: int, bound: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
+def _scaled(entries) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(den, entries times den): coordinate tuples of one length scaled by
+    the lcm den of their denominators, each as sparse (power, integer
+    coefficient) pairs."""
+    m = len(entries[0]) if entries else 0
+    den, ints = clear_denominators(c for entry in entries for c in entry)
+    return den, [[(j, c) for j, c in enumerate(ints[k:k + m]) if c]
+                 for k in range(0, len(ints), m)]
+
+
 def _integer_rows(rows) -> list[list[list[tuple[int, int]]]]:
-    """Each row scaled by the lcm of its denominators, entries sparse as
-    (power, integer coefficient) pairs."""
-    out = []
-    for row in rows:
-        den = 1
-        for entry in row:
-            for c in entry:
-                d = c.denominator
-                den = den * d // gcd(den, d)
-        out.append([[(j, c.numerator * (den // c.denominator))
-                     for j, c in enumerate(entry) if c] for entry in row])
-    return out
+    """Each row scaled by the lcm of its denominators (see _scaled)."""
+    return [_scaled(row)[1] for row in rows]
 
 
 def _verify(int_rows, sol: list[list[Fraction]], phi: list) -> bool:
@@ -223,12 +223,7 @@ def _verify(int_rows, sol: list[list[Fraction]], phi: list) -> bool:
     rationals, which only costs Fraction arithmetic in the reduction.
     """
     n = len(phi) - 1
-    den = 1
-    for coords in sol:
-        for c in coords:
-            den = den * c.denominator // gcd(den, c.denominator)
-    xs = [[(t, c.numerator * (den // c.denominator))
-           for t, c in enumerate(coords) if c] for coords in sol]
+    den, xs = _scaled(sol)
     for row in int_rows:
         acc = [0] * (2 * n - 1)
         for entry, x in zip(row, xs):

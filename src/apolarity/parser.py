@@ -154,10 +154,7 @@ class _Parser:
             if exp.denominator != 1 or exp < 0:
                 raise ParseError("exponent must be a nonnegative integer",
                                  tok[2])
-            power = self.constant(Fraction(1))
-            for _ in range(int(exp)):
-                power = power * base
-            return power
+            return base ** int(exp)
         return base
 
     def base(self) -> Poly:

@@ -161,9 +161,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
@@ -246,16 +243,14 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "Poly":
+        """1 * self * ... * self, one factor at a time. Squaring would save
+        products, but a square of a dense form costs as much as all the
+        products up to the same degree that it saves."""
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("polynomial powers need a nonnegative integer")
         result = Poly.constant(self.varset, 1, self.field)
-        base = self
-        e = exp
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for _ in range(exp):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -514,15 +509,13 @@ def split_disjoint(f: Poly) -> list[tuple[Poly, tuple[int, ...]]]:
     return out
 
 
-def restrict_to_vars(f: Poly, indices: Sequence[int],
-                     names: Sequence[str] | None = None) -> Poly:
+def restrict_to_vars(f: Poly, indices: Sequence[int]) -> Poly:
     """Rewrite f over only the chosen variables; they must carry all support."""
     indices = list(indices)
     support = set(f.support_vars())
     if not support.issubset(indices):
         raise VarSetMismatch("polynomial uses variables outside the chosen block")
-    sub = VarSet(names if names is not None
-                 else [f.varset.names[i] for i in indices])
+    sub = VarSet([f.varset.names[i] for i in indices])
     terms = {tuple(e[i] for i in indices): c for e, c in f.terms.items()}
     return Poly(sub, terms, f.field)
 

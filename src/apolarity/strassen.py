@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .apolar import add_principal, catalecticant_rank, colon_by_ideal, hf
-from .bounds import RankCertificate, certify, essential_vars, lower_bound
+from .bounds import RankCertificate, certify, essential_form, lower_bound
 from .errors import (DegreeMismatch, EmptyGeneratorList, EOutOfRange,
                      FieldMismatch, MixedDegrees, ZeroForm)
 from .families import (CI_CITATION, XASUMB_GEQ_CITATION, _monomial_inputs,
-                       analyze, ci_rank, classify, monomial_certificate,
-                       monomial_rank)
+                       _variables, analyze, ci_rank, classify,
+                       monomial_certificate, monomial_rank)
 from .linalg import subspace_intersect
 from .poly import Poly, restrict_to_vars, space_dim, split_disjoint
 
@@ -159,10 +159,9 @@ class _Summand:
 
 def _analyze_block(g: Poly, block, hint, seed: int) -> _Summand:
     """Certify one block through the CI hint, the pure-power rule or the
-    family engine table."""
-    change, reduced_full = essential_vars(g)
-    ess = len(g.varset) - change.removed
-    red = restrict_to_vars(reduced_full, tuple(range(ess)))
+    family engine table, a block with redundant variables in its essential
+    ones."""
+    ess, red = essential_form(g)
 
     if hint is not None and hint[0] == "ci":
         _, q, a = hint
@@ -179,9 +178,12 @@ def _analyze_block(g: Poly, block, hint, seed: int) -> _Summand:
         return _Summand(red, block, "Monomial", (1, 1), options, 1, cert,
                         (FRESH_POWER_CITATION,), red)
 
-    found = analyze(g, seed)
+    # V_n has n - 1 essential variables but is recognized only in its n
+    form = g if ess < len(g.varset) and classify(g).tag == "Vandermonde" \
+        else red
+    found = analyze(form, seed)
     cert, options = found.block()
-    return _Summand(g, block, found.tag, found.bounds, options, ess, cert,
+    return _Summand(form, block, found.tag, found.bounds, options, ess, cert,
                     found.citations, red)
 
 
@@ -290,8 +292,7 @@ def _refusal(f: Poly, block, seed: int) -> StrassenReport:
     names = tuple(f.varset.names[i] for i in positions)
     match = classify(g)
     notes = [REFUSAL_NOTE]
-    change, _ = essential_vars(g)
-    ess = len(g.varset) - change.removed
+    ess, _ = essential_form(g)
     if match.tag == "XaSumB" and \
             match.parameters["a"] + 1 == match.parameters["b"]:
         # the standing counterexample to additivity over terms sharing
@@ -319,9 +320,7 @@ def _refusal(f: Poly, block, seed: int) -> StrassenReport:
                               (rank, rank), tuple(notes),
                               (SUBADDITIVITY_CITATION,
                                XASUMB_GEQ_CITATION))
-    gens = [Poly.variable(g.varset, i, field=g.field)
-            for i in range(len(g.varset))]
-    cert = certify(g, gens, seed=seed)
+    cert = certify(g, _variables(g), seed=seed)
     report = SummandReport(g, names, match.tag, cert, None,
                            (cert.lower.bound, None), (), None, ess, None)
     return StrassenReport(f, (report,), None, "refused", None, None,

@@ -1,6 +1,7 @@
 """Lower-bound witnesses, point upper bounds, certificates, reductions."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from apolarity.apolar import add_principal, colon_by_ideal, ideal_from_generators
 from apolarity.bounds import (
     certify,
+    essential_form,
     essential_vars,
     linear_candidate_analysis,
     lower_bound,
@@ -26,7 +28,8 @@ from apolarity.errors import (
 )
 from apolarity.fields import QQ, cyclotomic_field
 from apolarity.linalg import _rref_q
-from apolarity.poly import Poly, VarSet, linear_form, monomial_basis
+from apolarity.poly import (Poly, VarSet, linear_form, monomial_basis,
+                            restrict_to_vars)
 
 V2 = VarSet(("x0", "x1"))
 V3 = VarSet(("x", "y", "z"))
@@ -425,6 +428,42 @@ def test_essential_vars_over_extension():
     assert change.removed == 1
     assert all(e[1] == 0 for e in reduced.terms)
     assert change.restore(reduced) == f
+
+
+@pytest.mark.parametrize("field", [QQ, cyclotomic_field(3)])
+def test_essential_vars_match_the_substitution(field):
+    # F is a sum of products of k <= n seeded linear forms, so it has at
+    # most k essential variables; the reduced form, read off F without a
+    # substitution, must equal the expanded substitution change.apply(F)
+    rng = random.Random(15)
+    lost = 0
+    for _ in range(24):
+        n = rng.randint(2, 4)
+        vs = VarSet(tuple(f"x{i}" for i in range(n)))
+
+        def scalar():
+            c = field.from_rational(Fraction(rng.randint(-3, 3),
+                                             rng.randint(1, 2)))
+            return c + field.gen() * rng.randint(-1, 1)
+
+        ls = [linear_form(vs, [scalar() for _ in range(n)], field)
+              for _ in range(rng.randint(1, n))]
+        f = Poly.zero(vs, field)
+        for _ in range(rng.randint(1, 3)):
+            term = Poly.constant(vs, rng.randint(1, 3), field)
+            for _ in range(3):
+                term = term * rng.choice(ls)
+            f = f + term
+        if f.is_zero():
+            continue
+        change, reduced = essential_vars(f)
+        assert reduced == change.apply(f), f
+        assert change.restore(reduced) == f
+        ess, g = essential_form(f)
+        assert ess == n - change.removed
+        assert g == restrict_to_vars(reduced, range(ess))
+        lost += change.removed > 0
+    assert lost >= 8
 
 
 def test_essential_vars_rejects_zero():

@@ -210,6 +210,42 @@ def test_hf_and_cat_error_lines(argv, err, capsys):
     assert go(argv + ["--json"], capsys) == (1, "", err)
 
 
+_LB_FORM = "x^3*y + y^4 + x*y^3"
+
+
+# the generator checks (apolar._gens_degree) and the point checks
+# (apolar._checked_points), one line each whichever verb reaches them
+@pytest.mark.parametrize("argv,err", [
+    (["lb", _LB_FORM, "--ideal", ";"],
+     "error: apolar.EmptyGeneratorList: need ideal generators\n"),
+    (["lb", _LB_FORM, "--ideal", "X; 0"],
+     "error: poly.ZeroForm: zero ideal generator\n"),
+    (["lb", _LB_FORM, "--ideal", "X; Y^2"],
+     "error: apolar.DegreeMismatch: generators span degrees [1, 2]\n"),
+    (["lb", _LB_FORM, "--ideal", "1"],
+     "error: apolar.DegreeMismatch: generators must have positive degree\n"),
+    (["lb", _LB_FORM, "--ideal", "X^5"],
+     "error: bounds.EOutOfRange: e = 5 exceeds deg F = 4\n"),
+    (["certify", _LB_FORM, "--ideal", "X; 0"],
+     "error: poly.ZeroForm: zero ideal generator\n"),
+    (["ub", "x^2*y", "--points", "1,1; 2,2"],
+     "error: bounds.DuplicatePoint: repeated projective point\n"),
+    (["ub", "x^2*y", "--points", "1,2; 1/2,1; 1,1"],
+     "error: bounds.DuplicatePoint: repeated projective point\n"),
+    (["ub", "x^2*y", "--points", "1,1; 1"],
+     "error: linalg.AmbientMismatch: point length does not match the "
+     "variable count\n"),
+    (["certify", "x^2*y", "--ideal", "X", "--points", "1,1; 2,2"],
+     "error: bounds.DuplicatePoint: repeated projective point\n"),
+    (["certify", "x^2*y", "--ideal", "X", "--points", "1,1; 1"],
+     "error: linalg.AmbientMismatch: point length does not match the "
+     "variable count\n"),
+])
+def test_generator_and_point_error_lines(argv, err, capsys):
+    assert go(argv, capsys) == (1, "", err)
+    assert go(argv + ["--json"], capsys) == (1, "", err)
+
+
 @pytest.mark.parametrize("argv", [
     ["hf", "x0^3*x1 + 2*x1^2*x2^2 - x2^4"],
     ["hf", "(x0 + x1 + 2*x2)^5 + x0*x1^4", "--degree-cap", "8"],
@@ -545,10 +581,13 @@ def test_x0a_g_outside_the_ci_theorem_answers(capsys, form, same_rank_as,
 
 
 def test_strassen_block_outside_the_ci_theorem_answers(capsys):
+    # the first block is analyzed in its two essential variables, where
+    # x0*x1 is a monomial with e options (1)
     code, out, err = go(["strassen", "x0*(x1 + x2) + y0*y1"], capsys)
-    assert (code, err) == (2, "")
-    assert out.splitlines()[:4] == [
-        "block (x0, x1, x2): binary, rank 2, e options ()",
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "block (x0, x1, x2): monomial, rank 2, e options (1)",
         "block (y0, y1): monomial, rank 2, e options (1)",
-        "verdict: conditional",
-        "interval = [4, 4]"]
+        "shared e = 1",
+        "verdict: certified",
+        "total rank = 4"]

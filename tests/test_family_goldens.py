@@ -109,6 +109,41 @@ EXT = [
 ]
 
 
+# XaSumB forms whose pivot is not their first variable (the parser orders
+# variables by first appearance, so --vars places them), recorded while
+# the engine still solved x0^a*(x1^b+...) and moved the answer onto the
+# form; now answered on the form itself: solved points, reported with
+# coordinate 1 at the pivot,
+# plus-power forms (cited and bounds-only), a generic t from three
+# generators, an unused variable first, and a form parsed over an
+# extension the points do not live in
+PIVOT = [
+    (["rank", "x1^3*(x0^2 + x2^2)", "--vars", "x0,x1,x2"], 0,
+     "rank = 8 (power-times-sum, certified)\n",
+     "a1a45ca7897fc41d094afcd65059163db1ec627c6e8ff602848335e5773ef170"),
+    (["rank", "x0^2*x1^3 + x1^3*x2^2"], 0,
+     "rank = 8 (power-times-sum, certified)\n",
+     "a1a45ca7897fc41d094afcd65059163db1ec627c6e8ff602848335e5773ef170"),
+    (["rank", "x1^2*(x0^3 + x2^3) + x1^5", "--vars", "x0,x1,x2"], 0,
+     "rank = 6 (power-times-sum, certified)\n",
+     "d6f7b98526662a5fdea8cbd0aac2597aba0fd5153d43ce77850ca48e87c30df5"),
+    (["rank", "x1^2*(x0^4 + x2^4) + x1^6", "--vars", "x0,x1,x2"], 2,
+     "7 <= rank <= 8 (power-times-sum, bounds only)\n",
+     "7f07aff6c0106a4e14fa664e3b76a2ea62c816939177aa3a45c4e270c4d00dd0"),
+    (["rank", "x2^2*(x0^2 + x1^2 + x3^2)", "--vars", "x0,x1,x2,x3",
+      "--seed", "5"], 0,
+     "rank = 9 (power-times-sum, certified)\n",
+     "9f87739381a8daf18977eaa3e8085934deff33d78a8fca5909678c0706bd3dfe"),
+    (["rank", "x2^3*(x0^2 + x1^2)", "--vars", "x3,x0,x2,x1"], 0,
+     "rank = 8 (power-times-sum, certified)\n",
+     "ce8e91539236f00b086559c6db4def93a1fbd90084ba549d96e595861e33622e"),
+    (["rank", "x2^3*(x0^2 + x1^2)", "--vars", "x0,x1,x2",
+      "--ext", "w: w^2+1"], 0,
+     "rank = 8 (power-times-sum, certified)\n",
+     "0920f4406e5a3e9bdd49d11a42574368ca706ec2164fcc878fd78c48df27e5e8"),
+]
+
+
 def go(argv, capsys):
     code = run(argv)
     captured = capsys.readouterr()
@@ -122,6 +157,14 @@ def test_family_golden(verb, expr, code, text, digest, capsys):
     got_code, out, err = go([verb, expr], capsys)
     assert (got_code, out, err) == (code, text, "")
     got_code, out, err = go([verb, expr, "--json"], capsys)
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,code,text,digest", PIVOT)
+def test_pivot_not_first_golden(argv, code, text, digest, capsys):
+    assert go(argv, capsys) == (code, text, "")
+    got_code, out, err = go(argv + ["--json"], capsys)
     assert (got_code, err) == (code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -61,6 +61,35 @@ class TestBasics:
         assert f - f == Poly.zero(V2)
         assert 3 * f == f.scale(3)
 
+    @pytest.mark.parametrize("field", [QQ, cyclotomic_field(5)])
+    def test_power_is_the_repeated_product(self, field):
+        # ** multiplies one factor at a time; compare with the product
+        # written out, with squaring, with the multinomial expansion of a
+        # linear form, and with the parser's reading of (..)^k
+        from apolarity.parser import parse_poly
+
+        z = field.gen()
+        base = P(V3, {(1, 0, 0): 1, (0, 1, 0): z, (0, 0, 1): Fraction(-2, 3)},
+                 field)
+        dense = base * base + P(V3, {(1, 1, 0): 3}, field)
+        for g in (base, dense, P(V3, {(0, 2, 1): z}, field)):
+            for k in range(6):
+                product = Poly.constant(V3, 1, field)
+                for _ in range(k):
+                    product = product * g
+                squared, rest, acc = g, k, Poly.constant(V3, 1, field)
+                while rest:
+                    if rest & 1:
+                        acc = acc * squared
+                    squared, rest = squared * squared, rest >> 1
+                assert g ** k == product == acc
+        assert base ** 7 == power_of_linear(base, 7)
+        text = "(x0 + 2*x1 - 1/3*x2)"
+        f = parse_poly(text, varnames=V3.names)
+        assert parse_poly(text + "^6", varnames=V3.names) == f ** 6
+        with pytest.raises(ValueError):
+            base ** -1
+
     def test_varset_mismatch(self):
         with pytest.raises(VarSetMismatch):
             P(V2, {(1, 0): 1}) + P(V3, {(1, 0, 0): 1})

@@ -339,6 +339,25 @@ def _seeded_block(rng, prefix, d):
     return f"{prefix}0^{cut}*{prefix}1^{d - cut}"
 
 
+@pytest.mark.parametrize("expr, ranks", [
+    ("x0*(x1 + x2) + y0*y1", (2, 2)),
+    ("x0^2*(x1 + x2)^3 + y0^5", (4, 1)),
+])
+def test_block_with_redundant_variables_is_analyzed_in_its_essential_ones(
+        expr, ranks):
+    # x0*(x1 + x2)^k is the monomial x0*x1^k in two essential variables,
+    # so the block has the monomial's e options and the sum certifies
+    report = strassen_rank(parse_poly(expr))
+    assert report.verdict == "certified"
+    assert report.shared_e == 1
+    assert report.total_rank == sum(ranks)
+    first = report.summands[0]
+    assert first.block == ("x0", "x1", "x2")
+    assert (first.family, first.essential) == ("Monomial", 2)
+    assert tuple(s.rank for s in report.summands) == ranks
+    assert all(s.perp_e_zero for s in report.summands)
+
+
 def test_perp_e_zero_matches_the_annihilator_slice():
     # strassen reads perp-e-zero off one catalecticant rank; here it is the
     # dimension of the degree-e slice of the reduced form's annihilator
