@@ -9,12 +9,17 @@ whole degree piece every later slice is full by ideal closure. Full slices
 are implicit (Subspace.full stores no rows), so they cost nothing to build,
 copy, lift or test against.
 
-Every catalecticant is assembled in one place, _catalecticant_rows, from
-its nonzero cells, driven by the terms of each form: a term x^beta reaches
-only the columns alpha <= beta, so the cost is the number of nonzero cells.
-Over QQ each form is first scaled to integer coefficients (a row scaling,
-which moves no rank and no kernel), so no Fraction reaches elimination.
-The assembly has three consumers:
+Every catalecticant is assembled in one place, _catalecticant_cells, from
+its nonzero cells, driven by the terms of each form: a term c x^beta
+reaches only the columns alpha <= beta, and one walk over them fills the
+catalecticants of every requested degree at once, each cell under its
+degree |alpha|. Row gamma is filled times gamma!, so every cell of the term
+holds the one value c beta!, and over QQ each form is first scaled to
+integer coefficients; both are row scalings, which move no rank and no
+kernel, so no Fraction and no per-cell product reaches elimination. Rows
+and columns with one nonzero cell are peeled off before elimination
+(linalg._peel), so a monomial's catalecticants are ranked with no
+elimination at all. The assembly has three consumers:
 
 - Annihilators and colons. (F_perp : I) is the common annihilator of the
   forms g o F for the generators g of I: in each degree, the kernel of
@@ -25,7 +30,8 @@ The assembly has three consumers:
   HF(T/F_perp, i) = rk Cat_i(F), and catalecticant_rank one rank. Where a
   single form is ranked, the Gorenstein symmetry rk Cat_i = rk Cat_(d-i)
   halves the eliminations.
-- catalecticant, the public dense matrix of the true coefficients.
+- catalecticant, the public dense matrix of the true coefficients: the
+  assembled row gamma divided by gamma! again.
 
 add_principal adds (t) to a sliced ideal by one batch elimination per
 degree. Point evaluations come from poly._power_values, which also
@@ -39,8 +45,10 @@ decides everything needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import perm
+from itertools import product
+from math import factorial, prod
 from typing import Sequence
 
 from .errors import (
@@ -53,7 +61,7 @@ from .errors import (
     ZeroForm,
 )
 from .fields import QQ, FieldElement, NumberField, clear_denominators
-from .linalg import Matrix, Subspace, kernel, matrix_rank
+from .linalg import Matrix, Subspace, _peel, kernel, matrix_rank
 from .poly import (Exps, Poly, VarSet, _basis, _contract_raw, _power_values,
                    apolar_action, space_dim)
 
@@ -127,41 +135,41 @@ def _poly_raw_terms(t: Poly) -> list[tuple[Exps, object]]:
 # catalecticants
 
 
-def _term_cells(beta: Exps, i: int) -> list[tuple[int, int, int]]:
-    """The cells X^alpha o x^beta = s * x^(beta - alpha) for alpha <= beta
-    of degree i, as (row, column, s): row the index of beta - alpha among
-    the monomials of degree |beta| - i, column that of alpha among those of
-    degree i. Degree bounds prune every prefix that cannot reach
-    |alpha| = i, so nothing else is visited."""
-    d = sum(beta)
-    partial = [((), (), 0, 1)]
-    rest = d
-    for b in beta:
-        rest -= b
-        partial = [(alpha + (a,), gamma + (b - a,), deg + a, s * perm(b, a))
-                   for alpha, gamma, deg, s in partial
-                   for a in range(max(0, i - deg - rest), min(b, i - deg) + 1)]
-    rows = _basis_index(len(beta), d - i)
-    cols = _basis_index(len(beta), i)
-    return [(rows[gamma], cols[alpha], s) for alpha, gamma, _, s in partial]
+def _catalecticant_cells(field: NumberField, forms: Sequence[tuple],
+                         degrees) -> dict[int, list[dict]]:
+    """Cat_i of each form of degree >= i, for every i in degrees, from one
+    walk over the terms: {i: [{row: {column: value}} per form]}. forms holds
+    each form's (degree, raw terms).
 
-
-def _catalecticant_rows(field: NumberField, forms: Sequence[tuple],
-                        i: int) -> list[dict]:
-    """For each form of degree >= i, given as (degree, raw terms), its
-    nonzero Cat_i rows as {row: {column: raw scalar}}. Distinct terms reach
-    distinct rows of a column (see _term_cells), so each nonzero cell is
-    written once, in one pass."""
+    A term c x^beta reaches the cells X^alpha o x^beta = c beta!/gamma! x^gamma,
+    gamma = beta - alpha, in row gamma and column alpha of Cat_|alpha|. Rows
+    are filled times gamma!, a row scaling that moves no rank and no kernel,
+    so every cell of the term holds the one value c beta!. The alpha <= beta
+    are walked once, in lockstep with their gamma, over a box clipped to the
+    requested degrees; distinct terms reach distinct rows of a column, so
+    each nonzero cell is written once."""
     times = field.raw_ops()[5]
-    out = []
+    lo, hi = min(degrees, default=0), max(degrees, default=-1)
+    out: dict[int, list[dict]] = {i: [] for i in degrees}
     for d, terms in forms:
-        if d < i:
-            continue
-        block: dict[int, dict] = {}
+        n = len(terms[0][0])
+        fill = {}
+        for i, blocks in out.items():
+            if i <= d:
+                blocks.append({})
+                fill[i] = (blocks[-1], _basis_index(n, d - i),
+                           _basis_index(n, i))
         for beta, c in terms:
-            for r, col, s in _term_cells(beta, i):
-                block.setdefault(r, {})[col] = times(c, s)
-        out.append(block)
+            value = times(c, prod(map(factorial, beta)))
+            box = [(max(0, b - d + lo), min(b, hi)) for b in beta]
+            for alpha, gamma in zip(
+                    product(*(range(a, z + 1) for a, z in box)),
+                    product(*(range(b - a, b - z - 1, -1)
+                              for b, (a, z) in zip(beta, box)))):
+                cell = fill.get(sum(alpha))
+                if cell is not None:
+                    block, rows, cols = cell
+                    block.setdefault(rows[gamma], {})[cols[alpha]] = value
     return out
 
 
@@ -182,17 +190,20 @@ def catalecticant(f: Poly, i: int) -> Matrix:
     n, field = len(f.varset), f.field
     ncols = space_dim(n, i)
     entries = [[field.raw_zero] * ncols for _ in range(space_dim(n, d - i))]
-    block, = _catalecticant_rows(field, [(d, _poly_raw_terms(f))], i)
+    block, = _catalecticant_cells(field, [(d, _poly_raw_terms(f))], [i])[i]
+    times, gammas = field.raw_ops()[5], _basis(n, d - i)
     for r, row in block.items():
+        # the assembly's row gamma holds gamma! times the true coefficients
+        scale = Fraction(1, prod(map(factorial, gammas[r])))
         for c, v in row.items():
-            entries[r][c] = v
+            entries[r][c] = times(v, scale)
     return Matrix(field, len(entries), ncols, entries)
 
 
 def catalecticant_rank(f: Poly, i: int) -> int:
     """rk Cat_i(F), ranked from the nonzero cells with no dense matrix."""
     d = _checked_degree(f, i)
-    return _stacked_rank(f.field, [(d, _integral_terms(f))], i)
+    return _catalecticant_ranks(f.field, [(d, _integral_terms(f))], [i])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +300,12 @@ def _annihilator(forms: Sequence[Poly], D: int) -> GradedIdeal:
     nonzero = [(g.degree(), _integral_terms(g))
                for g in _nonzero_forms(forms, D)]
     zero = 0 if field.degree == 1 else field.raw_zero
+    cells = _catalecticant_cells(field, nonzero, range(D + 1))
     slices = []
     for i in range(D + 1):
         amb = space_dim(len(varset), i)
         rows = []
-        for block in _catalecticant_rows(field, nonzero, i):
+        for block in cells.pop(i):
             for row in block.values():
                 vec = [zero] * amb
                 for c, v in row.items():
@@ -461,7 +473,8 @@ def perp_hf(f: Poly, D: int | None = None) -> HFProfile:
         raise ZeroForm("the zero form has no annihilator")
     D = f.degree() + 1 if D is None else D
     forms = [(g.degree(), _integral_terms(g)) for g in _nonzero_forms([f], D)]
-    return HFProfile(tuple(_catalecticant_ranks(f.field, forms, D)))
+    return HFProfile(tuple(_catalecticant_ranks(f.field, forms,
+                                                range(D + 1))))
 
 
 def _integral_terms(g: Poly) -> list[tuple[Exps, object]]:
@@ -475,38 +488,45 @@ def _integral_terms(g: Poly) -> list[tuple[Exps, object]]:
     return [(exps, c) for (exps, _), c in zip(terms, ints)]
 
 
-def _stacked_rank(field: NumberField, forms: Sequence[tuple], i: int) -> int:
-    """rk of Cat_i of the forms of degree >= i stacked, from their nonzero
-    cells, with the zero rows and zero columns left out. forms holds each
-    form's (degree, raw terms)."""
-    rows = [row for block in _catalecticant_rows(field, forms, i)
-            for row in block.values()]
-    if not rows:
-        return 0
-    used = {c: k for k, c in enumerate(set().union(*rows))}
+def _stacked_rank(field: NumberField, rows: list[dict]) -> int:
+    """rk of a matrix given by its rows as {column: raw scalar} dicts of
+    nonzero cells (changed here). The singleton pairs are peeled off (see
+    linalg._peel), each adding 1; only the core left is made dense, with its
+    zero columns left out, and eliminated."""
+    pairs, core = _peel(rows, True)
+    if not core:
+        return len(pairs)
+    used = {c: k for k, c in enumerate(set().union(*core))}
     zero = 0 if field.degree == 1 else field.raw_zero
     dense = []
-    for row in rows:
+    for row in core:
         vec = [zero] * len(used)
         for c, v in row.items():
             vec[used[c]] = v
         dense.append(vec)
-    return matrix_rank(Matrix(field, len(dense), len(used), dense))
+    return len(pairs) + matrix_rank(Matrix(field, len(dense), len(used),
+                                            dense))
 
 
 def _catalecticant_ranks(field: NumberField, forms: Sequence[tuple],
-                         D: int) -> list[int]:
-    """rk Cat_i of the forms stacked, i = 0..D, for nonzero forms given as
-    (degree, raw terms). A single form F of degree d has
+                         degrees) -> list[int]:
+    """rk Cat_i of the forms stacked for each i in degrees, for nonzero
+    forms given as (degree, raw terms), from one assembly; each degree's
+    rows are released once ranked. A single form F of degree d has
     rk Cat_i = rk Cat_(d-i) (the Gorenstein symmetry of T/F_perp: Cat_(d-i)
     is the transpose of Cat_i up to nonzero row and column scalings), so
-    only the degrees d - i >= d/2 are eliminated, whose catalecticants have
+    only the degrees max(i, d - i) are eliminated, whose catalecticants have
     no more rows than columns; stacked forms have no such symmetry."""
     if len(forms) == 1:
         d = forms[0][0]
-        half = [_stacked_rank(field, forms, d - i) for i in range(d // 2 + 1)]
-        return [half[min(i, d - i)] if i <= d else 0 for i in range(D + 1)]
-    return [_stacked_rank(field, forms, i) for i in range(D + 1)]
+        mirror = {i: max(i, d - i) for i in degrees if i <= d}
+    else:
+        mirror = {i: i for i in degrees}
+    cells = _catalecticant_cells(field, forms, sorted(set(mirror.values())))
+    ranks = {j: _stacked_rank(field, [row for block in cells.pop(j)
+                                      for row in block.values()])
+             for j in sorted(cells)}
+    return [ranks[mirror[i]] if i in mirror else 0 for i in degrees]
 
 
 def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
@@ -528,7 +548,7 @@ def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
         return [(g.degree(), _integral_terms(g.lift(fld))) for g in nonzero]
 
     base_forms = blocks(field)
-    base = _catalecticant_ranks(field, base_forms, D)
+    base = _catalecticant_ranks(field, base_forms, range(D + 1))
     out = []
     for t in ts:
         if t.varset != forms[0].varset:
@@ -544,7 +564,7 @@ def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
             terms = [(gamma, c) for gamma, c in tg.items() if not is_zero(c)]
             if terms:
                 shifted.append((d - e, terms))
-        ranks = _catalecticant_ranks(fld, shifted, D - e)
+        ranks = _catalecticant_ranks(fld, shifted, range(D - e + 1))
         out.append(HFProfile(tuple(
             v - (ranks[i - e] if i >= e else 0)
             for i, v in enumerate(base))))

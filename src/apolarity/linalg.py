@@ -23,6 +23,10 @@ stores no rows at all: its basis is the identity, built only when read.
 
 Pivoting always selects the first usable column, and kernels are emitted
 directly in canonical form by eliminating with the column order reversed.
+A kernel first peels the rows with one nonzero cell, whose columns every
+kernel vector vanishes at, and eliminates only the rest. A Subspace keeps a
+superset of the columns its rows use, so an insertion whose new pivot
+column no row holds skips the back-substitution scan.
 An intersection A cap B_1 cap ... cap B_m costs sparse reductions of A's
 rows modulo each B_j and one kernel of at most sum codim B_j rows and dim A
 columns: no doubled ambient, no dense row and no second elimination.
@@ -48,7 +52,9 @@ self-check that raises ArithmeticError.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Sequence
 
@@ -288,13 +294,15 @@ class Subspace:
     is equality of the canonical bases.
     """
 
-    __slots__ = ("field", "ambient", "_rows", "pivots")
+    __slots__ = ("field", "ambient", "_rows", "pivots", "_cols")
 
     def __init__(self, field: NumberField, ambient: int, rows, pivots):
         """rows: the sparse basis rows aligned with the increasing pivots,
         or None for the full space."""
         self.field = field
         self.ambient = ambient
+        # a superset of the columns the stored rows use, built on first insert
+        self._cols = None
         if rows is None or len(pivots) == ambient:
             self._rows, self.pivots = None, range(ambient)
         else:
@@ -404,10 +412,15 @@ class Subspace:
         scale = inv(vec[lead])
         vec = {j: mul(scale, v) for j, v in vec.items()}
         zero = self.field.raw_zero
-        for row in rows.values():
-            f = row.pop(lead, None)
-            if f is not None:
-                _sub_multiple(row, f, vec, lead, ops, zero)
+        if self._cols is None:
+            self._cols = set().union(*rows.values())
+        # a row without the column lead is left as it is
+        if lead in self._cols:
+            for row in rows.values():
+                f = row.pop(lead, None)
+                if f is not None:
+                    _sub_multiple(row, f, vec, lead, ops, zero)
+        self._cols.update(vec)
         rows[lead] = vec
         insort(self.pivots, lead)
         if len(rows) == self.ambient:
@@ -434,31 +447,90 @@ class Subspace:
             raise FieldMismatch("subspaces over different fields")
 
 
+def _peel(rows: list[dict], columns: bool) -> tuple[list[int], list[dict]]:
+    """Peel singletons off a matrix given by its rows as {column: raw
+    scalar} dicts of nonzero cells, changed in place: a row with one cell
+    (and, with columns, a column with one cell) is removed together with
+    the column (row) through that cell, until no singleton is left. Returns
+    the columns of the removed pairs and the nonempty rows left, the core.
+
+    Each pair is a pivot of its own, so the rank is the number of pairs
+    plus the rank of the core; a row with one cell forces its coordinate of
+    every kernel vector to 0."""
+    live = {r: row for r, row in enumerate(rows) if row}
+    if all(len(row) > 1 for row in live.values()) and not (
+            columns and 1 in Counter(chain(*live.values())).values()):
+        return [], list(live.values())
+    where = defaultdict(set)
+    for r, row in live.items():
+        for c in row:
+            where[c].add(r)
+    row_todo = [r for r, row in live.items() if len(row) == 1]
+    col_todo = [c for c, rs in where.items() if len(rs) == 1] if columns \
+        else []
+    pairs = []
+    while row_todo or col_todo:
+        if row_todo:
+            r = row_todo.pop()
+            if len(live.get(r, ())) != 1:
+                continue
+            c, = live[r]
+        else:
+            c = col_todo.pop()
+            if len(where.get(c, ())) != 1:
+                continue
+            r, = where[c]
+        pairs.append(c)
+        for j in live.pop(r):
+            rs = where[j]
+            rs.discard(r)
+            if columns and len(rs) == 1:
+                col_todo.append(j)
+        for s in where.pop(c):
+            row = live[s]
+            del row[c]
+            if len(row) == 1:
+                row_todo.append(s)
+            elif not row:
+                del live[s]
+    return pairs, list(live.values())
+
+
 def kernel(matrix: Matrix) -> Subspace:
     """Null space of the matrix, returned directly in canonical RREF form.
 
+    Rows with one nonzero cell are peeled first (see _peel): the columns
+    they force to 0 are dropped, and the rest, the core, is eliminated.
     Eliminating with the column order reversed makes the standard
-    free-column basis canonical once the coordinates are flipped back.
+    free-column basis canonical once the coordinates are flipped back, and
+    putting the forced zeros back keeps it canonical.
     """
     field = matrix.field
     n = matrix.ncols
-    rows, pivots = _batch_rref([row[::-1] for row in matrix.rows], field)
-    if not pivots:
+    is_zero = field.raw_ops()[3]
+    forced, core = _peel([_sparse(row, is_zero) for row in matrix.rows],
+                         False)
+    # the coordinates not forced, reversed: core column k is cols[k]
+    forced = set(forced)
+    cols = [j for j in range(n - 1, -1, -1) if j not in forced]
+    fill = 0 if field.degree == 1 else field.raw_zero
+    dense = [[row.get(j, fill) for j in cols] for row in core]
+    rows, pivots = _batch_rref(dense, field) if dense else ([], [])
+    if not pivots and not forced:
         return Subspace.full(n, field)
     pivot_set = set(pivots)
     zero, one = field.raw_zero, field.raw_one
-    basis = []
-    basis_pivots = []
-    for f in range(n - 1, -1, -1):
+    basis, basis_pivots = [], []
+    for f in range(len(cols) - 1, -1, -1):
         if f in pivot_set:
             continue
-        vec = {n - 1 - f: one}
+        vec = {cols[f]: one}
         for row, p in zip(rows, pivots):
             val = row[f]
             if val != zero:
-                vec[n - 1 - p] = field.neg_raw(val)
+                vec[cols[p]] = field.neg_raw(val)
         basis.append(vec)
-        basis_pivots.append(n - 1 - f)
+        basis_pivots.append(cols[f])
     return Subspace(field, n, basis, basis_pivots)
 
 

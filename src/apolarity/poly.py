@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     VarSetMismatch,
     ZeroForm,
 )
-from .fields import QQ, FieldElement, NumberField
+from .fields import QQ, FieldElement, NumberField, clear_denominators
 
 Exps = tuple[int, ...]
 
@@ -360,7 +361,9 @@ def linear_form(varset: VarSet, coeffs: Sequence, field: NumberField = QQ) -> Po
 
 
 def apolar_action(g: Poly, f: Poly) -> Poly:
-    """g acting on f by differentiation, X^a o x^b = b!/(b-a)! x^(b-a)."""
+    """g acting on f by differentiation, X^a o x^b = b!/(b-a)! x^(b-a).
+    Over a degree-1 field, integer multiples of g and f are contracted and
+    each coefficient is divided once by the product of the two scalings."""
     if g.varset != f.varset:
         raise VarSetMismatch(f"{g.varset} vs {f.varset}")
     if g.field != f.field:
@@ -371,6 +374,14 @@ def apolar_action(g: Poly, f: Poly) -> Poly:
         else:
             raise FieldMismatch("apolar action across different extensions")
     field = f.field
+    if field.degree == 1:
+        gden, gints = clear_denominators(c.coords[0] for c in g.terms.values())
+        fden, fints = clear_denominators(c.coords[0] for c in f.terms.values())
+        terms = _contract_raw(list(zip(g.terms, gints)),
+                              list(zip(f.terms, fints)), mul, add, mul)
+        den = gden * fden
+        return Poly(f.varset, {exps: FieldElement(field, (Fraction(c, den),))
+                               for exps, c in terms.items()}, field)
     terms = _contract_raw([(a, c.coords) for a, c in g.terms.items()],
                           [(b, c.coords) for b, c in f.terms.items()],
                           field.mul_coords, field.add_coords,

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from apolarity.apolar import (
     GradedIdeal,
+    _catalecticant_cells,
     add_principal,
     catalecticant,
     colon_by_form,
@@ -116,6 +117,50 @@ def test_catalecticant_matches_contraction_oracle():
             # the raw entries keep the field's raw format
             raw = field.raw_zero
             assert all(type(v) is type(raw) for row in cat.rows for v in row)
+
+
+def test_catalecticant_cells_are_the_dense_matrices_scaled_by_gamma():
+    # one assembly for all degrees, and for any window of them, against the
+    # public dense Cat_i with row gamma scaled by gamma!; stacked forms keep
+    # one block each, and a form of degree below i has none
+    rng = random.Random(16)
+    coeffs = (Fraction(-5, 7), Fraction(1, 3), 2, -1, Fraction(9, 4))
+    for field in (QQ, cyclotomic_field(5)):
+        times = field.raw_ops()[5]
+        for n in (2, 3, 4, 5):
+            vs = VarSet(tuple(f"x{k}" for k in range(n)))
+            for _ in range(3):
+                f, g = (_sparse_form(vs, rng.randint(1, 5), rng, field, coeffs)
+                        for _ in range(2))
+                d = f.degree()
+                terms = [(e, field.to_raw(c)) for e, c in f.terms.items()]
+                cells = _catalecticant_cells(field, [(d, terms)],
+                                             range(d + 1))
+                for i in range(d + 1):
+                    gammas = monomial_basis(n, d - i)
+                    want = {}
+                    for r, row in enumerate(catalecticant(f, i).rows):
+                        scale = prod(factorial(k) for k in gammas[r])
+                        nonzero = {c: times(v, scale)
+                                   for c, v in enumerate(row)
+                                   if v != field.raw_zero}
+                        if nonzero:
+                            want[r] = nonzero
+                    assert cells[i] == [want], (f, i)
+                lo = rng.randint(0, d)
+                hi = rng.randint(lo, d)
+                assert _catalecticant_cells(field, [(d, terms)],
+                                            range(lo, hi + 1)) == {
+                    i: cells[i] for i in range(lo, hi + 1)}
+                e = g.degree()
+                g_terms = [(x, field.to_raw(c)) for x, c in g.terms.items()]
+                g_cells = _catalecticant_cells(field, [(e, g_terms)],
+                                               range(e + 1))
+                top = max(d, e)
+                stacked = _catalecticant_cells(
+                    field, [(d, terms), (e, g_terms)], range(top + 1))
+                assert stacked == {i: cells.get(i, []) + g_cells.get(i, [])
+                                   for i in range(top + 1)}
 
 
 def test_catalecticant_rank_equals_hf():

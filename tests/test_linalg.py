@@ -9,9 +9,11 @@ from conftest import naive_rref
 from apolarity import modular
 from apolarity.errors import AmbientMismatch, FieldMismatch, NotInvertible
 from apolarity.fields import QQ, NumberField, cyclotomic_field
+from apolarity.apolar import _stacked_rank
 from apolarity.linalg import (
     Matrix,
     Subspace,
+    _peel,
     kernel,
     matrix_rank,
     rref,
@@ -400,6 +402,111 @@ def operand(field, rng, n, earlier, core):
 
 def snapshot(spaces):
     return [(s.rows, list(s.pivots)) for s in spaces]
+
+
+def nonzero_raw(field, rng):
+    while True:
+        v = rand_raw(field, rng)
+        if v != field.raw_zero:
+            return v
+
+
+def peel_cases(field, rng):
+    """Seeded sparse matrices as (name, dense raw rows, ncols), built from
+    cells {(row, column): value} and then shuffled: a bidiagonal chain whose
+    last row is the one singleton, so each peeled row unlocks the next; a
+    staircase whose first column is the one singleton, so each peeled column
+    unlocks the next; random cells with zero rows and zero columns; a dense
+    block, with nothing to peel; and all of these as diagonal blocks of one
+    matrix with a few cells coupling them. Over QQ some matrices hold the
+    int 0 for their zeros."""
+    def chain(m):
+        cells = {(k, k): nonzero_raw(field, rng) for k in range(m)}
+        cells.update({(k, k + 1): nonzero_raw(field, rng)
+                      for k in range(m - 1)})
+        return cells, m, m
+
+    def staircase(m):
+        cells = {(k, c): nonzero_raw(field, rng)
+                 for k in range(m) for c in (k, k + 1)}
+        return cells, m, m + 1
+
+    def zero_lines(m, n):
+        cells = {(r, c): nonzero_raw(field, rng)
+                 for r in range(1, m) for c in range(1, n)
+                 if rng.random() < 0.35}
+        return cells, m + 1, n + 1
+
+    def dense(m, n):
+        return ({(r, c): nonzero_raw(field, rng)
+                 for r in range(m) for c in range(n)}, m, n)
+
+    parts = [("chain", chain(rng.randint(2, 6))),
+             ("staircase", staircase(rng.randint(2, 6))),
+             ("zero lines", zero_lines(rng.randint(1, 5), rng.randint(1, 5))),
+             ("dense", dense(rng.randint(1, 4), rng.randint(1, 4)))]
+    mixed, nrows, ncols = {}, 0, 0
+    for _, (cells, m, n) in parts:
+        mixed.update({(r + nrows, c + ncols): v for (r, c), v in cells.items()})
+        nrows, ncols = nrows + m, ncols + n
+    for _ in range(rng.randint(0, 3)):
+        mixed[rng.randrange(nrows), rng.randrange(ncols)] = nonzero_raw(
+            field, rng)
+    out = []
+    for name, (cells, m, n) in parts + [("mixed", (mixed, nrows, ncols))]:
+        zero = field.raw_zero
+        if field.degree == 1 and rng.random() < 0.5:
+            zero = 0
+        rperm, cperm = rng.sample(range(m), m), rng.sample(range(n), n)
+        rows = [[zero] * n for _ in range(m)]
+        for (r, c), v in cells.items():
+            rows[rperm[r]][cperm[c]] = v
+        out.append((name, rows, n))
+    return out
+
+
+def unpeeled_kernel(field, rows, ncols):
+    """The canonical kernel from one full elimination, no peeling: the
+    free-column vectors of the RREF, brought to canonical form."""
+    red, pivots = rref(Matrix(field, len(rows), ncols, rows))
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [field.raw_zero] * ncols
+        vec[f] = field.raw_one
+        for row, p in zip(red.rows, pivots):
+            vec[p] = field.neg_raw(row[f])
+        basis.append(vec)
+    return Subspace.from_raw_vectors(basis, ncols, field)
+
+
+class TestPeeling:
+    """Singleton peeling before elimination against plain elimination of
+    the whole matrix."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["QQ", "Q(zeta_5)"])
+    def test_peeled_rank_and_kernel_equal_plain_elimination(self, field):
+        rng = random.Random(16)
+        seen = set()
+        for _ in range(25):
+            for name, rows, ncols in peel_cases(field, rng):
+                m = Matrix(field, len(rows), ncols, rows)
+                assert _stacked_rank(field, [sparse(field, r) for r in rows]) \
+                    == matrix_rank(m), name
+                assert kernel(m) == unpeeled_kernel(field, rows, ncols), name
+                peeled = {columns: _peel([sparse(field, r) for r in rows],
+                                         columns)
+                          for columns in (False, True)}
+                if name == "chain":
+                    assert not peeled[False][1]
+                if name == "staircase":
+                    assert not peeled[False][0] and not peeled[True][1]
+                seen.update((name, columns, bool(pairs), bool(core))
+                            for columns, (pairs, core) in peeled.items())
+        # each chain peels fully by rows and each staircase by columns (see
+        # above); a dense block is left unpeeled, a mixed matrix in part
+        assert ("dense", True, False, True) in seen
+        assert ("mixed", False, True, True) in seen
+        assert ("mixed", True, True, True) in seen
 
 
 class TestIntersection:

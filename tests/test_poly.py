@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -143,6 +145,38 @@ class TestApolarAction:
         f = P(V2, {(3, 0): 1})
         g = P(V2, {(2, 0): 1})
         assert apolar_action(g, f) == P(V2, {(1, 0): 6})
+
+    def test_rational_action_matches_falling_factorial_oracle(self):
+        # over QQ with non-integer coefficients, including sums that cancel
+        # to zero: each pair of terms contributes c_a c_b prod b!/(b-a)!
+        rng = random.Random(16)
+        coeffs = (Fraction(-5, 7), Fraction(1, 3), Fraction(9, 4), 2, -1)
+        cases = [(P(V2, {(1, 0): 1, (0, 1): -1}),
+                  P(V2, {(2, 0): Fraction(1, 3), (1, 1): Fraction(2, 3),
+                         (0, 2): Fraction(1, 3)}))]
+        for n in (1, 2, 3, 4):
+            vs = VarSet([f"x{k}" for k in range(n)])
+
+            def form():
+                return P(vs, {tuple(rng.randint(0, 3) for _ in range(n)):
+                              rng.choice(coeffs)
+                              for _ in range(rng.randint(0, 5))})
+            cases += [(form(), form()) for _ in range(15)]
+        for g, f in cases:
+            want = {}
+            for a, ca in g.terms.items():
+                for b, cb in f.terms.items():
+                    if all(x <= y for x, y in zip(a, b)):
+                        s = prod(factorial(y) // factorial(y - x)
+                                 for x, y in zip(a, b))
+                        e = tuple(y - x for x, y in zip(a, b))
+                        want[e] = (want.get(e, 0) + ca.as_fraction()
+                                   * cb.as_fraction() * s)
+            got = apolar_action(g, f)
+            assert got == P(g.varset, want), (g, f)
+            assert all(type(c.coords[0]) is Fraction
+                       for c in got.terms.values())
+        assert apolar_action(*cases[0]).is_zero()
 
 
 class TestPowerOfLinear:
