@@ -61,7 +61,7 @@ from .errors import (
     ZeroForm,
 )
 from .fields import QQ, FieldElement, NumberField, clear_denominators
-from .linalg import Matrix, Subspace, _peel, kernel, matrix_rank
+from .linalg import Matrix, Subspace, _kernel, _peel, kernel, matrix_rank
 from .poly import (Exps, Poly, VarSet, _basis, _contract_raw, _power_values,
                    apolar_action, space_dim)
 
@@ -107,22 +107,30 @@ def _sparse_row_poly(varset: VarSet, field: NumberField, degree: int,
                 field)
 
 
-def _times_variables(row: dict, nvars: int, degree: int):
-    """The products x_k * row, k = 0 .. nvars-1, of a sparse row, one at a
-    time: each moves the entries onto the shifted monomials."""
-    for k in range(nvars):
-        alpha = tuple(1 if j == k else 0 for j in range(nvars))
-        shift = _shift_map(nvars, degree, alpha)
+def _variable_shifts(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """The index maps of multiplication by x_0, .., x_(nvars-1) on forms of
+    the given degree."""
+    return [_shift_map(nvars, degree,
+                       tuple(1 if j == k else 0 for j in range(nvars)))
+            for k in range(nvars)]
+
+
+def _times_variables(row: dict, shifts):
+    """The products x_k * row of a sparse row, one per map of
+    _variable_shifts, one at a time: each moves the entries onto the
+    shifted monomials."""
+    for shift in shifts:
         yield {shift[j]: v for j, v in row.items()}
 
 
 def _insert_times_linear(out: Subspace, s: Subspace, nvars: int,
                          degree: int) -> None:
     """Insert T_1 * s into out, for a slice s of the given degree, until
-    out is full."""
+    out is full. Each product is a fresh dict, which out takes over."""
+    shifts = _variable_shifts(nvars, degree)
     for row in s.sparse_rows():
-        for v in _times_variables(row, nvars, degree):
-            out.insert_raw(v)
+        for v in _times_variables(row, shifts):
+            out._insert(v)
             if out.is_full():
                 return
 
@@ -264,9 +272,10 @@ class GradedIdeal:
             nxt = self.slices[i + 1]
             if nxt.is_full() or not self.slices[i].dim:
                 continue
+            shifts = _variable_shifts(n, i)
             for row in self.slices[i].sparse_rows():
                 if not all(nxt.contains_raw(v)
-                           for v in _times_variables(row, n, i)):
+                           for v in _times_variables(row, shifts)):
                     return False
         return True
 
@@ -299,19 +308,12 @@ def _annihilator(forms: Sequence[Poly], D: int) -> GradedIdeal:
     varset, field = forms[0].varset, forms[0].field
     nonzero = [(g.degree(), _integral_terms(g))
                for g in _nonzero_forms(forms, D)]
-    zero = 0 if field.degree == 1 else field.raw_zero
     cells = _catalecticant_cells(field, nonzero, range(D + 1))
     slices = []
     for i in range(D + 1):
         amb = space_dim(len(varset), i)
-        rows = []
-        for block in cells.pop(i):
-            for row in block.values():
-                vec = [zero] * amb
-                for c, v in row.items():
-                    vec[c] = v
-                rows.append(vec)
-        slices.append(kernel(Matrix(field, len(rows), amb, rows)) if rows
+        rows = [row for block in cells.pop(i) for row in block.values()]
+        slices.append(_kernel(field, rows, amb) if rows
                       else Subspace.full(amb, field))
     return GradedIdeal(varset, field, D, slices)
 

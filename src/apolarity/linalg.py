@@ -6,10 +6,12 @@ values go from a polynomial to elimination without a FieldElement in
 between. Matrix.from_rows and the vectors() views are the only FieldElement
 boundaries.
 
-Over the rationals, batch elimination is fraction-free (Bareiss-Jordan on
-integer rows, exact divisions checked), which keeps intermediate entries as
-minors instead of exploding fractions; matrix_rank runs only its forward
-half. Over extensions a plain Gauss-Jordan runs on coordinate vectors.
+Over the rationals, elimination is fraction-free on integer rows, every
+division checked exact, so entries stay minors instead of exploding
+fractions. One forward Bareiss pass (_echelon_q) serves rank, RREF and
+kernel: the RREF back-substitutes only its free columns, in integers
+scaled by the last pivot minor, and a kernel reads its vectors straight
+off them. Over extensions a plain Gauss-Jordan runs on coordinate vectors.
 
 Every subspace is stored as the unique reduced row echelon basis with pivot
 1, so equal subspaces compare equal rowwise. A Matrix row is a dense list;
@@ -23,10 +25,11 @@ stores no rows at all: its basis is the identity, built only when read.
 
 Pivoting always selects the first usable column, and kernels are emitted
 directly in canonical form by eliminating with the column order reversed.
-A kernel first peels the rows with one nonzero cell, whose columns every
-kernel vector vanishes at, and eliminates only the rest. A Subspace keeps a
-superset of the columns its rows use, so an insertion whose new pivot
-column no row holds skips the back-substitution scan.
+A kernel (_kernel) takes its rows as {column: raw scalar} dicts, as an
+annihilator assembles them, peels the rows with one nonzero cell, whose
+columns every kernel vector vanishes at, and eliminates only the rest. A
+Subspace keeps a superset of the columns its rows use, so an insertion
+whose new pivot column no row holds skips the back-substitution scan.
 An intersection A cap B_1 cap ... cap B_m costs sparse reductions of A's
 rows modulo each B_j and one kernel of at most sum codim B_j rows and dim A
 columns: no doubled ambient, no dense row and no second elimination.
@@ -93,16 +96,15 @@ def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
 
 
 def _bareiss_step(row: list[int], start: int, pivot_row: list[int],
-                  prev: int, c: int | None = None) -> None:
+                  prev: int) -> None:
     """One fraction-free update of row from column start on:
-    row <- (piv * row - row[c] * pivot_row) / prev, every division checked
-    exact. pivot_row is aligned with row[start:] and piv is its entry in
-    column c (default start). A row with no entry in column c is only
-    rescaled. Dividing by prev = 1 needs no check, and content-1 rows
-    (see _integer_rows) make that the common case."""
-    c = start if c is None else c
-    f = row[c]
-    piv = pivot_row[c - start]
+    row <- (piv * row - row[start] * pivot_row) / prev, every division
+    checked exact. pivot_row is aligned with row[start:] and piv is its
+    first entry. A row with no entry in column start is only rescaled.
+    Dividing by prev = 1 needs no check, and content-1 rows (see
+    _integer_rows) make that the common case."""
+    f = row[start]
+    piv = pivot_row[0]
     tail = row[start:] if start else row
     if prev == 1:
         if f:
@@ -116,58 +118,76 @@ def _bareiss_step(row: list[int], start: int, pivot_row: list[int],
         row[start:] = [_exact_div(piv * a, prev) for a in tail]
 
 
-def _rank_q(rows: list[list[Fraction]]) -> int:
-    """Rank over QQ by forward-only fraction-free (Bareiss) elimination.
+def _echelon_q(rows: list[list]):
+    """Forward-only fraction-free (Bareiss) elimination over QQ.
 
     A pivot row leaves the matrix once the rows still in it are updated
-    from its column on; nothing is reduced above a pivot, and only the
-    pivots are counted."""
+    from its column on; nothing is reduced above a pivot. Yields each
+    pivot column p_k, in increasing order, with its pivot row U_k from
+    p_k on: U_k[0] = d_k is the k-th leading minor of the pivot rows, and
+    U_k is d_k times row k of an echelon form. A caller that keeps no
+    row, like matrix_rank, holds one pivot row at a time."""
     mat = _integer_rows(rows)
     ncols = len(mat[0]) if mat else 0
-    rank = 0
     prev = 1
     for c in range(ncols):
         p = next((i for i, row in enumerate(mat) if row[c]), None)
         if p is None:
             continue
         rest = mat.pop(p)[c:]
-        piv = rest[0]
         for row in mat:
             _bareiss_step(row, c, rest, prev)
-        prev = piv
-        rank += 1
+        prev = rest[0]
+        yield c, rest
         if not mat:
             break
-    return rank
 
 
-def _rref_q(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Canonical RREF over QQ via integer Bareiss-Jordan elimination."""
-    mat = _integer_rows(rows)
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if p is None:
-            continue
-        mat[r], mat[p] = mat[p], mat[r]
-        piv_row = mat[r]
-        piv = piv_row[c]
-        for i in range(nrows):
-            if i != r:
-                _bareiss_step(mat[i], 0, piv_row, prev, c)
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+def _reduced_q(rows: list[list], ncols: int
+               ) -> tuple[list[int], list[int], list[list[int]], int]:
+    """The RREF over QQ in integers, from one forward pass and a back
+    substitution in the free columns only.
+
+    Returns (pivots, free, rs, d): the pivot columns, the other columns,
+    and for each pivot row k the integer row R_k = d * RREF_k on the free
+    columns to the right of p_k, from the last one down: R_k[i] sits at
+    free[-1 - i]. RREF_k is 1 at p_k and 0 at the other pivot columns.
+    d = d_last is the last leading minor, so R_k is integral by Cramer's
+    rule; R_last = U_last and R_k = (d U_k - sum_(j>k) U_k[p_j] R_j) / d_k,
+    each division checked exact."""
+    echelon = list(_echelon_q(rows))
+    pivots = [p for p, _ in echelon]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    d = echelon[-1][1][0] if echelon else 1
+    rs: list[list[int]] = []
+    while echelon:
+        p, u = echelon.pop()
+        acc = [d * u[f - p] for f in reversed(free) if f > p]
+        for q, r in zip(pivots[len(echelon) + 1:], reversed(rs)):
+            a = u[q - p]
+            if a and r:
+                acc[:len(r)] = [x - a * y for x, y in zip(acc, r)]
+        dk = u[0]
+        rs.append(acc if dk == 1 else [_exact_div(x, dk) for x in acc])
+    rs.reverse()
+    return pivots, free, rs, d
+
+
+def _rref_q(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Canonical RREF over QQ. Only the nonzero free entries are made
+    Fractions; every other cell is the shared 0 or 1."""
+    ncols = len(rows[0]) if rows else 0
+    pivots, free, rs, d = _reduced_q(rows, ncols)
+    zero, one = Fraction(0), Fraction(1)
     out = []
-    for j, c in enumerate(pivots):
-        piv = mat[j][c]
-        out.append([Fraction(v, piv) for v in mat[j]])
+    for p, r in zip(pivots, rs):
+        row = [zero] * ncols
+        row[p] = one
+        for f, v in zip(reversed(free), r):
+            if v:
+                row[f] = Fraction(v, d)
+        out.append(row)
     return out, pivots
 
 
@@ -258,7 +278,7 @@ def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def matrix_rank(matrix: Matrix) -> int:
     if matrix.field.degree == 1:
-        return _rank_q(matrix.rows)
+        return sum(1 for _ in _echelon_q(matrix.rows))
     return len(_rref_ext(matrix.rows, matrix.field)[1])
 
 
@@ -400,12 +420,17 @@ class Subspace:
         """Add one raw vector, a dense row or a sparse {column: raw scalar}
         dict, keeping canonical form; True if the dim grew. vec itself is
         not changed."""
+        return self._insert(_sparse(vec, self.field.raw_ops()[3]))
+
+    def _insert(self, vec: dict) -> bool:
+        """insert_raw of a {column: raw scalar} dict with no zero entry,
+        which the subspace takes over: it is reduced in place."""
         rows = self._rows
         if rows is None:
             return False
         ops = self.field.raw_ops()
-        mul, _, _, is_zero, inv, _ = ops
-        vec = self._reduce(_sparse(vec, is_zero), ops)
+        mul, _, _, _, inv, _ = ops
+        vec = self._reduce(vec, ops)
         if not vec:
             return False
         lead = min(vec)
@@ -497,41 +522,55 @@ def _peel(rows: list[dict], columns: bool) -> tuple[list[int], list[dict]]:
 
 
 def kernel(matrix: Matrix) -> Subspace:
-    """Null space of the matrix, returned directly in canonical RREF form.
+    """Null space of the matrix, returned directly in canonical RREF form."""
+    is_zero = matrix.field.raw_ops()[3]
+    return _kernel(matrix.field,
+                   [_sparse(row, is_zero) for row in matrix.rows],
+                   matrix.ncols)
+
+
+def _kernel(field: NumberField, rows: list[dict], ncols: int) -> Subspace:
+    """Null space of the matrix with ncols columns given by its rows as
+    {column: raw scalar} dicts of nonzero cells, which it consumes.
 
     Rows with one nonzero cell are peeled first (see _peel): the columns
     they force to 0 are dropped, and the rest, the core, is eliminated.
     Eliminating with the column order reversed makes the standard
     free-column basis canonical once the coordinates are flipped back, and
-    putting the forced zeros back keeps it canonical.
+    putting the forced zeros back keeps it canonical. Over QQ each vector
+    is read off the integer rows R_k = d RREF_k of _reduced_q as
+    e_f - sum_k (R_k[f] / d) e_(p_k), with no Fraction RREF in between.
     """
-    field = matrix.field
-    n = matrix.ncols
-    is_zero = field.raw_ops()[3]
-    forced, core = _peel([_sparse(row, is_zero) for row in matrix.rows],
-                         False)
+    forced, core = _peel(rows, False)
     # the coordinates not forced, reversed: core column k is cols[k]
     forced = set(forced)
-    cols = [j for j in range(n - 1, -1, -1) if j not in forced]
-    fill = 0 if field.degree == 1 else field.raw_zero
-    dense = [[row.get(j, fill) for j in cols] for row in core]
-    rows, pivots = _batch_rref(dense, field) if dense else ([], [])
+    cols = [j for j in range(ncols - 1, -1, -1) if j not in forced]
+    # negs[k]: -RREF_k on the free columns right of p_k, from the last one
+    # down, None at a zero
+    if field.degree == 1:
+        dense = [[row.get(j, 0) for j in cols] for row in core]
+        pivots, free, rs, d = _reduced_q(dense, len(cols))
+        negs = [[Fraction(-v, d) if v else None for v in r] for r in rs]
+    else:
+        zero, is_zero = field.raw_zero, field.is_zero_coords
+        dense = [[row.get(j, zero) for j in cols] for row in core]
+        red, pivots = _rref_ext(dense, field)
+        pivot_set = set(pivots)
+        free = [c for c in range(len(cols)) if c not in pivot_set]
+        negs = [[None if is_zero(row[f]) else field.neg_coords(row[f])
+                 for f in reversed(free) if f > p]
+                for row, p in zip(red, pivots)]
     if not pivots and not forced:
-        return Subspace.full(n, field)
-    pivot_set = set(pivots)
-    zero, one = field.raw_zero, field.raw_one
-    basis, basis_pivots = [], []
-    for f in range(len(cols) - 1, -1, -1):
-        if f in pivot_set:
-            continue
-        vec = {cols[f]: one}
-        for row, p in zip(rows, pivots):
-            val = row[f]
-            if val != zero:
-                vec[cols[p]] = field.neg_raw(val)
-        basis.append(vec)
-        basis_pivots.append(cols[f])
-    return Subspace(field, n, basis, basis_pivots)
+        return Subspace.full(ncols, field)
+    one = field.raw_one
+    # the free columns from the last one down are the original columns
+    # in increasing order
+    basis = [{cols[f]: one} for f in reversed(free)]
+    for p, neg in zip(pivots, negs):
+        for vec, v in zip(basis, neg):
+            if v is not None:
+                vec[cols[p]] = v
+    return Subspace(field, ncols, basis, [cols[f] for f in reversed(free)])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

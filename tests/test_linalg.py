@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
+from math import prod
 
 import pytest
 from conftest import naive_rref
@@ -10,6 +11,7 @@ from apolarity import modular
 from apolarity.errors import AmbientMismatch, FieldMismatch, NotInvertible
 from apolarity.fields import QQ, NumberField, cyclotomic_field
 from apolarity.apolar import _stacked_rank
+from apolarity.poly import monomial_basis
 from apolarity.linalg import (
     Matrix,
     Subspace,
@@ -124,6 +126,124 @@ class TestKernel:
     def test_full_kernel_for_zero_matrix(self):
         ker = kernel(q_matrix([[0, 0, 0]]))
         assert ker.is_full() and ker == Subspace.full(3, QQ)
+
+
+def oracle_cases(rng):
+    """Seeded matrices over QQ as (name, raw rows, ncols): tall, wide and
+    square shapes up to 25 x 40 with small, fractional and 100-bit
+    entries, at random (but for the largest 100-bit shape) and of rank
+    below their size by construction; zero rows and columns with repeated
+    rows; and the integer evaluation rows of 21 points in P^2 at degrees 4
+    to 7."""
+    def entry(kind):
+        if kind == "small":
+            return Fraction(rng.randint(-9, 9))
+        if kind == "fraction":
+            return Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+        return Fraction(rng.getrandbits(100) - 2 ** 99)
+
+    def random_rows(m, n, kind):
+        return [[entry(kind) for _ in range(n)] for _ in range(m)]
+
+    def low_rank(m, n, k, kind):
+        left, right = random_rows(m, k, kind), random_rows(k, n, "small")
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                for row in left]
+
+    cases = []
+    for kind in ("small", "fraction", "100-bit"):
+        for m, n in ((25, 12), (12, 40), (20, 20), (25, 40)):
+            # a random 100-bit 25 x 40 matrix alone would double the time
+            if kind != "100-bit" or n * m < 1000:
+                cases.append((f"{kind} {m}x{n}", random_rows(m, n, kind), n))
+            k = rng.randint(1, min(m, n) - 2)
+            cases.append((f"{kind} {m}x{n} of rank <= {k}",
+                          low_rank(m, n, k, kind), n))
+    rows = low_rank(18, 30, 9, "fraction")
+    for j in rng.sample(range(30), 5):
+        for row in rows:
+            row[j] = Fraction(0)
+    for i in rng.sample(range(18), 4):
+        rows[i] = [Fraction(0)] * 30
+    rows += [list(rows[i]) for i in rng.sample(range(18), 3)]
+    rng.shuffle(rows)
+    cases.append(("zero rows and columns, repeated rows", rows, 30))
+    points = set()
+    while len(points) < 21:
+        points.add(tuple(rng.randint(-9, 9) for _ in range(3)))
+    points = sorted(points)
+    for d in range(4, 8):
+        basis = monomial_basis(3, d)
+        cases.append((f"21 points in P^2 at degree {d}",
+                      [[prod(c ** e for c, e in zip(p, exps))
+                        for exps in basis] for p in points], len(basis)))
+    return cases
+
+
+def reversed_kernel(rows, ncols):
+    """The canonical kernel basis from the naive RREF of the columns in
+    reverse order: each free-column vector, flipped back, leads with its 1
+    and vanishes at the leads of the others."""
+    red, pivots = naive_rref([row[::-1] for row in rows])
+    basis = []
+    for f in range(ncols - 1, -1, -1):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[ncols - 1 - f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            vec[ncols - 1 - p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+class TestEliminationOracle:
+    """rref, matrix_rank and kernel over larger seeded matrices against the
+    textbook Fraction Gauss-Jordan of conftest."""
+
+    def test_rref_rank_and_kernel_match_naive_elimination(self):
+        for name, rows, ncols in oracle_cases(random.Random(18)):
+            m = Matrix(QQ, len(rows), ncols, [list(r) for r in rows])
+            want_rows, want_pivots = naive_rref(rows)
+            got, pivots = rref(m)
+            assert list(pivots) == want_pivots, name
+            assert got.rows == want_rows, name
+            assert matrix_rank(m) == len(want_pivots), name
+            ker = kernel(m)
+            assert ker.dim == ncols - len(want_pivots), name
+            assert ker.rows == reversed_kernel(rows, ncols), name
+
+    def test_kernel_over_q_zeta5(self):
+        field = cyclotomic_field(5)
+        mul, add, _, is_zero, _, _ = field.raw_ops()
+        rng = random.Random(19)
+        # a rational matrix has the rational kernel, lifted
+        for name, rows, ncols in oracle_cases(rng):
+            if "100-bit" in name or len(rows) * ncols > 300:
+                continue
+            lift = [[field.raw_rational(v) for v in row] for row in rows]
+            ker = kernel(Matrix(field, len(rows), ncols, lift))
+            assert ker.rows == [[field.raw_rational(v) for v in row]
+                                for row in reversed_kernel(rows, ncols)], name
+
+        # products of random m x k and k x n matrices over Q(zeta_5)
+        def entry():
+            return tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
+
+        for m, n, k in ((8, 12, 5), (12, 7, 4), (9, 9, 9)):
+            left = [[entry() for _ in range(k)] for _ in range(m)]
+            right = [[entry() for _ in range(n)] for _ in range(k)]
+            rows = [[reduce(add, (mul(a, b) for a, b in zip(row, col)))
+                     for col in zip(*right)] for row in left]
+            mat = Matrix(field, m, n, rows)
+            ker = kernel(mat)
+            assert ker.dim == n - matrix_rank(mat) >= n - k
+            for vec in ker.rows:
+                for row in rows:
+                    assert is_zero(reduce(add, (mul(a, b)
+                                                for a, b in zip(row, vec))))
+            rebuilt = Subspace.from_raw_vectors(ker.rows, n, field)
+            assert rebuilt == ker
 
 
 FIELDS = (QQ, cyclotomic_field(5))
