@@ -11,7 +11,8 @@ solution only after the integer check M x = b, whose columns are the
 expanded powers and whose right-hand side is F, so no second expansion is
 needed. The columns come straight from the point coordinates
 (poly._power_values), over QQ from integer multiples of the points.
-(Monomials get their decomposition in closed form, in families.)
+The solve serves points given by the caller (ub, certify); the recognized
+families write their decompositions in closed form, in families.
 """
 
 from __future__ import annotations

@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vandermonde", parents=[shared])
     p.add_argument("n", type=int, help="number of variables, 3 to 6")
     p.add_argument("--solve", action="store_true",
-                   help="solve the permutation points exactly")
+                   help="decompose over the permutation points for every n "
+                        "(the default only for n <= 4)")
     return top
 
 

@@ -1,9 +1,9 @@
 """Closed-form rank engines for recognized families of forms.
 
 Every family result recomputes its lower bound through the quotient engine
-rather than trusting the closed formula; upper bounds are solved point
-decompositions, a monomial's decomposition in closed form with its own
-exact check, or self-contained cited statements.
+rather than trusting the closed formula; upper bounds are point
+decompositions in closed form, checked exactly by _cyclotomic_witness
+without a linear solve, or self-contained cited statements.
 
 analyze() classifies a form and runs the engine that ENGINES maps its tag
 to. The FamilyAnalysis it returns is all that `apolarity rank` prints and
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .apolar import HFProfile, hf, minimal_generators, perp
@@ -26,7 +26,6 @@ from .bounds import (
     certify,
     essential_form,
     lower_bound,
-    upper_bound_from_points,
     witness_fields,
 )
 from .errors import (
@@ -41,10 +40,10 @@ from .errors import (
     ParameterOutOfRange,
     ZeroForm,
 )
-from .fields import (QQ, NumberField, clear_denominators, cyclotomic,
-                     cyclotomic_field, root_of_unity, roots_of_unity,
-                     squarefree_check, squarefree_decomposition, uni_degree,
-                     uni_eval, uni_trim)
+from .fields import (QQ, clear_denominators, cyclotomic, cyclotomic_field,
+                     roots_of_unity, squarefree_check, squarefree_decomposition,
+                     uni_degree, uni_derivative, uni_divmod, uni_eval, uni_gcd,
+                     uni_trim)
 from .poly import Poly, VarSet, _basis, _multinomial, apolar_action
 
 MONOMIAL_CITATION = (
@@ -191,9 +190,47 @@ def _homogenize(varset, coeffs, degree: int) -> Poly:
     return Poly(varset, terms, QQ)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    return [k for k in range(1, n + 1) if n % k == 0]
+def _rational_roots(p) -> list[Fraction]:
+    """The rational roots of a nonconstant p, sorted by (|numerator|,
+    denominator, positive first), found without a search over divisors.
+
+    With s = sum c_i x^i the squarefree part of p over the integers, y =
+    c_deg*x turns s into the monic integer q(y) = sum c_i c_deg^(deg-1-i) y^i,
+    whose rational roots are integers below B = 1 + max|q_i|. At a small
+    prime l where no root of q mod l is repeated, each root mod l lifts by
+    Newton's method to one root mod l^(2^j) > 2B; its symmetric residue is
+    the only integer root it can be, and uni_eval keeps the true ones.
+    """
+    s = uni_divmod(p, uni_gcd(p, uni_derivative(p)))[0]
+    c = clear_denominators(s)[1]
+    deg, lead = len(c) - 1, c[-1]
+    q = [ci * lead ** (deg - 1 - i) for i, ci in enumerate(c[:-1])] + [1]
+    dq = [i * qi for i, qi in enumerate(q)][1:]
+
+    def at(poly, x, mod):
+        acc = 0
+        for coeff in reversed(poly):
+            acc = (acc * x + coeff) % mod
+        return acc
+
+    for ell in itertools.count(2):
+        if any(ell % k == 0 for k in range(2, math.isqrt(ell) + 1)):
+            continue
+        residues = [r for r in range(ell) if at(q, r, ell) == 0]
+        if all(at(dq, r, ell) for r in residues):
+            break
+    bound = 2 * (1 + max(abs(qi) for qi in q))
+    roots = []
+    for r in residues:
+        mod = ell
+        while mod <= bound:
+            mod *= mod
+            r = (r - at(q, r, mod) * pow(at(dq, r, mod), -1, mod)) % mod
+        x = Fraction(r if 2 * r <= mod else r - mod, lead)
+        if uni_eval(p, x) == 0:
+            roots.append(x)
+    return sorted(roots, key=lambda x: (abs(x.numerator), x.denominator,
+                                        x < 0))
 
 
 def _rational_linear_factors(h: Poly) -> list[Poly]:
@@ -210,20 +247,8 @@ def _rational_linear_factors(h: Poly) -> list[Poly]:
         found.append(Poly.variable(vs, 0))
         p = p[v:]
     if uni_degree(p) >= 1:
-        # rational root theorem after clearing denominators
-        _, ints = clear_denominators(p)
-        lead, const = ints[-1], ints[0]
-        seen = set()
-        for num in _divisors(const):
-            for q in _divisors(lead):
-                for sign in (1, -1):
-                    r = Fraction(sign * num, q)
-                    if r in seen:
-                        continue
-                    seen.add(r)
-                    if uni_eval(p, r) == 0:
-                        found.append(Poly.variable(vs, 0)
-                                     - Poly.variable(vs, 1).scale(r))
+        found.extend(Poly.variable(vs, 0) - Poly.variable(vs, 1).scale(r)
+                     for r in _rational_roots(p))
     return found
 
 
@@ -336,8 +361,7 @@ def _closed_form(exps, involved, pivot):
     with d = |a| and L_k the k-th point scaled to a leading coordinate 1,
     which multiplies its weight prod_i eps_i^(-a_i) by eps_lead^d. Returns
     m, each point as the exponents of its coordinates on the involved
-    variables (the others are 0), the weight exponents w_k and the
-    denominator.
+    variables (the others are 0) and the weight exponents w_k.
     """
     others, m, grid = _monomial_grid(exps, involved, pivot)
     d = sum(exps)
@@ -348,71 +372,75 @@ def _closed_form(exps, involved, pivot):
         lead = k[involved[0]]
         points.append(tuple((k[i] - lead) % m for i in involved))
         weights.append((d * lead - sum(exps[i] * k[i] for i in others)) % m)
-    denom = _multinomial(d, exps) * math.prod(exps[i] + 1 for i in others)
-    return m, points, weights, denom
+    return m, points, weights
 
 
-def _check_closed_form(a, m: int, points, weights, denom: int) -> None:
-    """Exact check of sum_k zeta^(w_k) L_k^d = denom * x^a without expanding.
+def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
+                        weights, signs=None) -> UpperBoundWitness | None:
+    """F's part c*target as sum_k c_k L_k^d, exactly checked; None when F
+    lies over an extension other than Q(zeta_m) with m >= 3.
 
-    The coefficient of x^b on the left is multinomial(d; b) times
-    sum_k zeta^(w_k + b.e_k), e_k the exponents of L_k. That sum is read off
-    integer counts per exponent class mod m, reduced by Phi_m. Only the
-    involved variables are checked: every point is 0 in the others, so a
-    monomial using one of them has coefficient 0 on both sides.
+    target maps exponents on the involved variables to +-1. L_k is zeta_m^e
+    on them, e = points[k], and 0 elsewhere. The one lambda in Q(zeta_m)
+    with sum_k s_k zeta^(w_k) L_k^d = lambda*target (signs s_k, default 1)
+    is read off without expanding, or ArithmeticError raised: the
+    coefficient of x^b on the left is multinomial(d; b) times
+    sum_k s_k zeta^(w_k + b.e_k), a signed count per exponent class mod m
+    reduced by Phi_m. Returns c_k = s_k zeta^(w_k) c/lambda, where c is F's
+    coefficient over target's at the first target monomial.
     """
-    d = sum(a)
+    fld = f.field if m <= 2 else cyclotomic_field(m)
+    if not (m <= 2 or f.field.is_rationals() or f.field == fld):
+        return None
+    d = sum(next(iter(target)))
     phi = [int(c) for c in cyclotomic(m)]
     n = len(phi) - 1
     cols = list(zip(*points))
-    for b in _basis(len(a), d):
+    lam = lead = None
+    for b in _basis(len(involved), d):
         acc = weights
         for bi, col in zip(b, cols):
             if bi:
                 acc = [x + bi * y for x, y in zip(acc, col)]
         counts = [0] * m
-        for x in acc:
-            counts[x % m] += 1
+        if signs is None:
+            for x in acc:
+                counts[x % m] += 1
+        else:
+            for x, s in zip(acc, signs):
+                counts[x % m] += s
         for k in range(m - 1, n - 1, -1):
             c = counts[k]
             if c:
                 for t in range(n):
                     counts[k - n + t] -= c * phi[t]
-        target = denom if b == a else 0
-        if any(counts[1:n]) or counts[0] * _multinomial(d, b) != target:
+        sign = target.get(b)
+        if sign is None:
+            if any(counts[:n]):
+                raise ArithmeticError("decomposition failed re-verification")
+            continue
+        value = [sign * _multinomial(d, b) * x for x in counts[:n]]
+        if lam is None:
+            lam, lead = value, b
+        elif value != lam:
             raise ArithmeticError("decomposition failed re-verification")
-
-
-def _closed_form_field(f: Poly, m: int) -> NumberField | None:
-    """The field of the closed-form decomposition: F's own when it holds
-    the m-th roots of unity as powers of its generator (always for m <= 2),
-    Q(zeta_m) for a rational F, otherwise None."""
-    if m <= 2:
-        return f.field
-    fld = cyclotomic_field(m)
-    return fld if f.field.is_rationals() or f.field == fld else None
-
-
-def _monomial_upper(f: Poly) -> UpperBoundWitness | None:
-    """The closed-form decomposition of a monomial over its normalized
-    points, certified by _check_closed_form, or None when F's field has no
-    room for it (an extension other than Q(zeta_m) itself)."""
-    exps, involved, pivot = _monomial_data(f)
-    m, points, weights, denom = _closed_form(exps, involved, pivot)
-    fld = _closed_form_field(f, m)
-    if fld is None:
-        return None
-    _check_closed_form(tuple(exps[i] for i in involved), m, points, weights,
-                       denom)
+    if not any(lam):
+        raise ArithmeticError("decomposition failed re-verification")
+    at = dict(zip(involved, lead))
+    scale = f.lift(fld).coeff([at.get(i, 0) for i in range(len(f.varset))])
+    # a rational lambda is inverted as a Fraction, not through the field
+    den = [target[lead] * x for x in lam]
+    inv = (scale / fld.element(den) if any(den[1:])
+           else scale * Fraction(1, den[0]))
     roots = roots_of_unity(fld, m)
-    scale = f.lift(fld).coeff(exps) * Fraction(1, denom)
     coords = []
     for es in points:
         pt = [fld.zero] * len(f.varset)
         for i, k in zip(involved, es):
             pt[i] = roots[k]
         coords.append(tuple(pt))
-    coeffs = tuple(scale * roots[w] for w in weights)
+    coeffs = tuple(roots[w] * inv if s > 0 else -(roots[w] * inv)
+                   for w, s in zip(weights, signs or itertools.repeat(1)))
     return UpperBoundWitness(tuple(coords), coeffs, len(coords), fld)
 
 
@@ -424,7 +452,7 @@ def monomial_certificate(f: Poly, e: int = 1,
     With solve_points=False, or over an extension field other than
     Q(zeta_m), the decomposition is carried as a cited statement instead.
     """
-    exps, _, pivot = _monomial_data(f)
+    exps, involved, pivot = _monomial_data(f)
     a0 = exps[pivot]
     if e < 1 or 2 * e > a0 + 1:
         raise EOutOfRange(f"need 1 <= e <= {(a0 + 1) // 2} for least exponent {a0}")
@@ -433,7 +461,12 @@ def monomial_certificate(f: Poly, e: int = 1,
     witness = lower_bound(f, list(gens), te)
     if witness.bound != rank:
         raise ArithmeticError("monomial bound disagreed with the formula")
-    upper = _monomial_upper(f) if solve_points else None
+    upper = None
+    if solve_points:
+        m, points, weights = _closed_form(exps, involved, pivot)
+        upper = _cyclotomic_witness(f, involved,
+                                    {tuple(exps[i] for i in involved): 1}, m,
+                                    points, weights)
     if upper is None:
         return RankCertificate(f, witness, None, "cited-upper", rank,
                                MONOMIAL_CITATION)
@@ -559,30 +592,18 @@ def _xa_sum_b(form: Poly, a: int, b: int, n: int, plus_power: bool,
         cites = (XASUMB_GEQ_CITATION,)
         if plus_power:
             cites = cites + (PLUS_POWER_CITATION,)
-        upper = None
         if b <= a and not plus_power:
-            fld = cyclotomic_field(a + 1)
-            points = []
-            for i in others:
-                for k in range(a + 1):
-                    coords = [fld.zero] * len(varset)
-                    coords[pivot] = root_of_unity(fld, a + 1, k)
-                    coords[i] = fld.one
-                    points.append(tuple(coords))
-            upper = upper_bound_from_points(form, points)
-            if upper is None or upper.count != rank:
-                raise ArithmeticError("union of monomial points failed to solve")
-            # reported with coordinate 1 at the pivot: a point normalized
-            # at an earlier variable has pivot coordinate zeta^k, divided
-            # out, and its coefficient is multiplied by zeta^(k(a+b))
-            roots = roots_of_unity(fld, a + 1)
-            points, coeffs = [], []
-            for p, c in zip(upper.points, upper.coefficients):
-                k = roots.index(p[pivot])
-                points.append(tuple(v * roots[-k] for v in p) if k else p)
-                coeffs.append(c * roots[k * (a + b) % (a + 1)] if k else c)
-            upper = replace(upper, points=tuple(points),
-                            coefficients=tuple(coeffs))
+            # each term x_p^a*x_i^b on its own line: coordinate 1 at the
+            # pivot, zeta^(-k) at x_i and weight zeta^(kb), k < a+1
+            m = a + 1
+            line = [(0, -k % m) for k in range(m)]
+            weights = [k * b % m for k in range(m)]
+            parts = [_cyclotomic_witness(form, (pivot, i), {(a, b): 1}, m,
+                                         line, weights) for i in others]
+            upper = UpperBoundWitness(
+                tuple(p for w in parts for p in w.points),
+                tuple(c for w in parts for c in w.coefficients), rank,
+                parts[0].field)
             return XaSumBResult(form, a, b, n, plus_power, "a+1>=b", rank,
                                 (rank, rank), witness, upper,
                                 "certified-equal", cites)
@@ -728,9 +749,10 @@ def vandermonde(n: int, solve_points: bool | None = None) -> VandermondeResult:
     """Certified rank of V_n = prod_{i<j}(x_i - x_j), 3 <= n <= 6.
 
     Verifies that every elementary symmetric polynomial annihilates V_n and
-    that the colon by X1 reproduces (n-1)!. The permutation points are
-    solved exactly for n <= 4 by default (the larger systems are costly);
-    beyond that the decomposition is carried as a cited statement.
+    that the colon by X1 reproduces (n-1)!. The permutation points carry
+    the closed-form decomposition for n <= 4 by default, so that the
+    output of n = 5 and 6 stays as it was, and for every n with
+    solve_points=True; otherwise it is carried as a cited statement.
     """
     if not 3 <= n <= 6:
         raise NOutOfRange("Vandermonde engine covers 3 <= n <= 6")
@@ -748,12 +770,14 @@ def vandermonde(n: int, solve_points: bool | None = None) -> VandermondeResult:
     if not solve_points:
         return VandermondeResult(n, v, rank, witness, None, "cited-upper",
                                  VANDERMONDE_CITATION)
-    fld = cyclotomic_field(n)
-    roots = [fld.gen() ** k for k in range(1, n)]
-    points = [(fld.one,) + perm for perm in itertools.permutations(roots)]
-    upper = upper_bound_from_points(v, points)
-    if upper is None or upper.count != rank:
-        raise ArithmeticError("permutation points failed to solve V_n")
+    # points (1, zeta^s(1), ..., zeta^s(n-1)) weighted by sgn s; V_n is +-1
+    perms = list(itertools.permutations(range(1, n)))
+    signs = [(-1) ** sum(x > y for x, y in itertools.combinations(s, 2))
+             for s in perms]
+    target = {e: int(c.as_fraction()) for e, c in v.terms.items()}
+    upper = _cyclotomic_witness(v, range(n), target, n,
+                                [(0,) + s for s in perms], [0] * len(perms),
+                                signs)
     return VandermondeResult(n, v, rank, witness, upper, "certified-equal",
                              VANDERMONDE_CITATION)
 

@@ -1,13 +1,14 @@
 """The two exact certificates behind every upper bound.
 
-A monomial's decomposition comes in closed form and is checked by integer
-counts of roots of unity; every other decomposition comes from
-linalg.solve, which returns only solutions that pass the integer check
-M x = b. Each is tested against an independent derivation and against a
-deliberate fault.
+A family's decomposition (monomial, XaSumB with b <= a, Vandermonde) comes
+in closed form and is checked by integer counts of roots of unity; the
+decompositions of user points come from linalg.solve, which returns only
+solutions that pass the integer check M x = b. Each is tested against an
+independent derivation and against a deliberate fault.
 """
 
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -80,13 +81,92 @@ class TestClosedFormAgainstSolve:
         check()
 
 
+def xa_sum_b_form(a, b, n, pivot):
+    """x_p^a*(sum of x_i^b over the n other variables), p = pivot."""
+    vs = VarSet(tuple(f"x{i}" for i in range(n + 1)))
+    terms = {}
+    for i in range(n + 1):
+        if i != pivot:
+            exps = [0] * (n + 1)
+            exps[pivot], exps[i] = a, b
+            terms[tuple(exps)] = 1
+    return Poly(vs, terms)
+
+
+def assert_solve_agrees(f, upper):
+    """upper_bound_from_points on the closed form's points gives its
+    coefficients: the solve normalizes a point at its first nonzero
+    coordinate v, which multiplies the coefficient by v^d."""
+    d = f.degree()
+    solved = upper_bound_from_points(f, upper.points)
+    assert solved.field == upper.field
+    assert solved.count == upper.count == len(upper.points)
+    for p, c, q, s in zip(upper.points, upper.coefficients, solved.points,
+                          solved.coefficients):
+        lead = next(v for v in p if v)
+        assert q == tuple(v / lead for v in p)
+        assert s == c * lead ** d
+
+
+class TestFamilyClosedFormsAgainstSolve:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_vandermonde(self, n):
+        res = families.vandermonde(n, solve_points=True)
+        assert res.status == "certified-equal"
+        assert_solve_agrees(res.form, res.upper)
+
+    def test_xa_sum_b_grid(self):
+        # b < a and b = a, n = 2..4; the pivot is first for even n and at
+        # a seeded later place for n = 3
+        rng = random.Random(19)
+        for a, b in [(2, 2), (3, 2), (3, 3)]:
+            for n in (2, 3, 4):
+                pivot = rng.randrange(1, n + 1) if n % 2 else 0
+                f = xa_sum_b_form(a, b, n, pivot)
+                res = families.analyze(f).result
+                assert res.status == "certified-equal"
+                assert res.upper.count == (a + 1) * n
+                assert all(p[pivot] == 1 for p in res.upper.points)
+                assert_solve_agrees(f, res.upper)
+
+
+REVERIFICATION = ("error: internal.ArithmeticError: "
+                  "decomposition failed re-verification\n")
+
+
 class TestClosedFormCheck:
+    def test_flipped_vandermonde_sign_raises(self, monkeypatch):
+        real = families._cyclotomic_witness
+
+        def tampered(f, involved, target, m, points, weights, signs=None):
+            return real(f, involved, target, m, points, weights,
+                        [-signs[0]] + signs[1:])
+
+        monkeypatch.setattr(families, "_cyclotomic_witness", tampered)
+        with pytest.raises(ArithmeticError,
+                           match="decomposition failed re-verification"):
+            families.vandermonde(4, solve_points=True)
+        assert cli(["rank", "(a-b)*(a-c)*(b-c)"]) == (4, "", REVERIFICATION)
+
+    def test_shifted_xa_sum_b_weight_raises(self, monkeypatch):
+        real = families._cyclotomic_witness
+
+        def tampered(f, involved, target, m, points, weights, signs=None):
+            return real(f, involved, target, m, points,
+                        [(weights[0] + 1) % m] + weights[1:], signs)
+
+        monkeypatch.setattr(families, "_cyclotomic_witness", tampered)
+        with pytest.raises(ArithmeticError,
+                           match="decomposition failed re-verification"):
+            families.xa_sum_b_rank(3, 2, 2)
+        assert cli(["rank", "x0^2*(x1^2+x2^2)"]) == (4, "", REVERIFICATION)
+
     def test_tampered_weight_raises(self, monkeypatch):
         real = families._closed_form
 
         def tampered(*args):
-            m, points, weights, denom = real(*args)
-            return m, points, [(weights[0] + 1) % m] + weights[1:], denom
+            m, points, weights = real(*args)
+            return m, points, [(weights[0] + 1) % m] + weights[1:]
 
         monkeypatch.setattr(families, "_closed_form", tampered)
         f = Poly.monomial(VarSet(("x", "y")), (1, 2))
@@ -101,9 +181,9 @@ class TestClosedFormCheck:
         real = families._closed_form
 
         def tampered(*args):
-            m, points, weights, denom = real(*args)
+            m, points, weights = real(*args)
             first = tuple((k + 1) % m for k in points[0])
-            return m, [first] + points[1:], weights, denom
+            return m, [first] + points[1:], weights
 
         monkeypatch.setattr(families, "_closed_form", tampered)
         f = Poly.monomial(VarSet(("x", "y", "z")), (1, 2, 3))

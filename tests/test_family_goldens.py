@@ -37,6 +37,12 @@ RANK = [
     # its own variables in the witness
     ("y*(x^3+z^3)", 0, "rank = 6 (power-times-sum, certified)\n",
      "301b238620d0f46e72a81b9112d82f5d2c5f15264fd4f773ffd57c686347fd8f"),
+    # closed-form XaSumB witnesses with b = a, recorded while they were
+    # still solved through linalg.solve
+    ("x0^4*(x1^4+x2^4)", 0, "rank = 10 (power-times-sum, certified)\n",
+     "d530c4015404abe905b8feaa1fa019a1e356b15ddd9985378b09764d6c9e3a35"),
+    ("x0^3*(x1^3+x2^3+x3^3)", 0, "rank = 12 (power-times-sum, certified)\n",
+     "7f2725d6bea17fefa59cb43cc32419e3ce3394f889d8b37d1014eba90a138378"),
 ]
 
 STRASSEN = [
@@ -144,6 +150,23 @@ PIVOT = [
 ]
 
 
+# Vandermonde witnesses in closed form, recorded while the permutation
+# points were still solved through linalg.solve
+VANDERMONDE = [
+    (["vandermonde", "3", "--solve"], 0,
+     "V_3: rank = 2 (certified-equal)\nhf:\n0: 1\n1: 1\n2: 0\n3: 0\n4: 0\n",
+     "20de07a72eeb3df18e127901a76d8d7bd76aa0a030d4cb27d9dcb4e2031b4582"),
+    (["vandermonde", "4", "--solve"], 0,
+     "V_4: rank = 6 (certified-equal)\nhf:\n0: 1\n1: 2\n2: 2\n3: 1\n4: 0\n"
+     "5: 0\n6: 0\n7: 0\n",
+     "6f9e59896e36a0bcffc8042a73fd25eb2988e2e0e6f04c15f08f891c1271470a"),
+    (["vandermonde", "5", "--solve"], 0,
+     "V_5: rank = 24 (certified-equal)\nhf:\n0: 1\n1: 3\n2: 5\n3: 6\n"
+     "4: 5\n5: 3\n6: 1\n7: 0\n8: 0\n9: 0\n10: 0\n11: 0\n",
+     "e0ab017852fb95702ecb8b6f8c49e63f3bda8b696364b35a3c0629a2490ed08f"),
+]
+
+
 def go(argv, capsys):
     code = run(argv)
     captured = capsys.readouterr()
@@ -182,6 +205,14 @@ def test_rank_nine_monomial_certified_by_rank_and_strassen(capsys):
     assert len(block["points"]) == 9
     assert block["points"] == data["points"]
     assert "cited_rank" not in block
+
+
+@pytest.mark.parametrize("argv,code,text,digest", VANDERMONDE)
+def test_vandermonde_golden(argv, code, text, digest, capsys):
+    assert go(argv, capsys) == (code, text, "")
+    got_code, out, err = go(argv + ["--json"], capsys)
+    assert (got_code, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv,code,text,digest", EXT)

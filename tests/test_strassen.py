@@ -11,9 +11,10 @@ from apolarity.bounds import essential_vars
 from apolarity.errors import (DegreeMismatch, EmptyGeneratorList,
                               EOutOfRange, FieldMismatch, MixedDegrees,
                               ZeroForm)
-from apolarity.families import (ENGINES, FamilyMatch, build_vandermonde,
-                                build_xa_sum_b)
-from apolarity.fields import QQ
+from apolarity.families import (ENGINES, FamilyMatch, _rational_roots,
+                                build_vandermonde, build_xa_sum_b)
+from apolarity.fields import (QQ, clear_denominators, uni_eval, uni_mul,
+                              uni_trim)
 from apolarity.parser import parse_poly
 from apolarity.poly import Poly, VarSet, embed_in_varset, restrict_to_vars
 from apolarity.strassen import (OPEN_PAIRING_QUESTION, lemma52_hf_check,
@@ -162,6 +163,56 @@ def test_binary_e_option_search():
         assert 1 in options
         assert str(options[1][1]) == t_str
         assert found.rank == rank
+
+
+def divisor_roots(p):
+    """The rational roots of p by the rational root theorem, in the order
+    of a search over (numerator, denominator, sign) divisor pairs."""
+    _, ints = clear_denominators(p)
+
+    def divisors(n):
+        return [k for k in range(1, abs(n) + 1) if n % k == 0]
+
+    seen, found = set(), []
+    for num in divisors(ints[0]):
+        for den in divisors(ints[-1]):
+            for sign in (1, -1):
+                r = Fraction(sign * num, den)
+                if r not in seen:
+                    seen.add(r)
+                    if uni_eval(p, r) == 0:
+                        found.append(r)
+    return found
+
+
+def test_rational_roots_match_the_divisor_search():
+    # products of rational linear factors, some repeated, times a random
+    # cofactor, with denominators
+    rng = random.Random(23)
+    nonzero = [c for c in range(-6, 7) if c]
+    for _ in range(300):
+        p = (Fraction(rng.choice(nonzero)),)
+        for _ in range(rng.randint(0, 3)):
+            p = uni_mul(p, (Fraction(rng.choice(nonzero)),
+                            Fraction(rng.choice(nonzero))))
+        if rng.random() < 0.5:
+            p = uni_mul(p, uni_trim([rng.choice(nonzero)]
+                                    + [rng.randint(-5, 5) for _ in range(2)]
+                                    + [rng.randint(1, 5)]))
+        p = uni_trim(c / rng.choice([1, 2, 3]) for c in p)
+        if len(p) >= 2:
+            assert _rational_roots(p) == divisor_roots(p), p
+
+
+@pytest.mark.parametrize("form", ["x^3 + 1234567*x*y^2 + y^3 + z^3",
+                                  "x^3 + 987654321*x^2*y + y^3 + z^3"])
+def test_binary_block_with_a_large_coefficient(form):
+    # the contractions come from exact rational roots, not from a search
+    # over the divisors of the coefficients
+    report = strassen_rank(parse_poly(form))
+    assert report.verdict == "certified"
+    assert report.total_rank == 3
+    assert report.summands[0].family == "Binary"
 
 
 def test_vandermonde_block_is_recognized_before_reduction():
