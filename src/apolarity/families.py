@@ -376,13 +376,13 @@ def _closed_form(exps, involved, pivot):
 
 
 def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
-                        weights, signs=None) -> UpperBoundWitness | None:
+                        weights, signs) -> UpperBoundWitness | None:
     """F's part c*target as sum_k c_k L_k^d, exactly checked; None when F
     lies over an extension other than Q(zeta_m) with m >= 3.
 
     target maps exponents on the involved variables to +-1. L_k is zeta_m^e
     on them, e = points[k], and 0 elsewhere. The one lambda in Q(zeta_m)
-    with sum_k s_k zeta^(w_k) L_k^d = lambda*target (signs s_k, default 1)
+    with sum_k s_k zeta^(w_k) L_k^d = lambda*target (signs s_k = +-1)
     is read off without expanding, or ArithmeticError raised: the
     coefficient of x^b on the left is multinomial(d; b) times
     sum_k s_k zeta^(w_k + b.e_k), a signed count per exponent class mod m
@@ -403,12 +403,8 @@ def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
             if bi:
                 acc = [x + bi * y for x, y in zip(acc, col)]
         counts = [0] * m
-        if signs is None:
-            for x in acc:
-                counts[x % m] += 1
-        else:
-            for x, s in zip(acc, signs):
-                counts[x % m] += s
+        for x, s in zip(acc, signs):
+            counts[x % m] += s
         for k in range(m - 1, n - 1, -1):
             c = counts[k]
             if c:
@@ -440,7 +436,7 @@ def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
             pt[i] = roots[k]
         coords.append(tuple(pt))
     coeffs = tuple(roots[w] * inv if s > 0 else -(roots[w] * inv)
-                   for w, s in zip(weights, signs or itertools.repeat(1)))
+                   for w, s in zip(weights, signs))
     return UpperBoundWitness(tuple(coords), coeffs, len(coords), fld)
 
 
@@ -466,7 +462,7 @@ def monomial_certificate(f: Poly, e: int = 1,
         m, points, weights = _closed_form(exps, involved, pivot)
         upper = _cyclotomic_witness(f, involved,
                                     {tuple(exps[i] for i in involved): 1}, m,
-                                    points, weights)
+                                    points, weights, [1] * len(points))
     if upper is None:
         return RankCertificate(f, witness, None, "cited-upper", rank,
                                MONOMIAL_CITATION)
@@ -599,11 +595,12 @@ def _xa_sum_b(form: Poly, a: int, b: int, n: int, plus_power: bool,
             line = [(0, -k % m) for k in range(m)]
             weights = [k * b % m for k in range(m)]
             parts = [_cyclotomic_witness(form, (pivot, i), {(a, b): 1}, m,
-                                         line, weights) for i in others]
+                                         line, weights, [1] * m)
+                     for i in others]
+            points = tuple(p for w in parts for p in w.points)
             upper = UpperBoundWitness(
-                tuple(p for w in parts for p in w.points),
-                tuple(c for w in parts for c in w.coefficients), rank,
-                parts[0].field)
+                points, tuple(c for w in parts for c in w.coefficients),
+                len(points), parts[0].field)
             return XaSumBResult(form, a, b, n, plus_power, "a+1>=b", rank,
                                 (rank, rank), witness, upper,
                                 "certified-equal", cites)

@@ -385,8 +385,10 @@ class NumberField:
 QQ = NumberField(None, (0, 1))
 
 
+@lru_cache(maxsize=128)
 def cyclotomic_field(m: int, name: str = "z") -> NumberField:
-    """Splitting data for m-th roots of unity: QQ[z]/(Phi_m), z a primitive root."""
+    """Splitting data for m-th roots of unity: QQ[z]/(Phi_m), z a primitive
+    root; built once per (m, name), as a NumberField never changes."""
     if m <= 2:
         return QQ
     return NumberField(name, cyclotomic(m))

@@ -138,7 +138,7 @@ class TestClosedFormCheck:
     def test_flipped_vandermonde_sign_raises(self, monkeypatch):
         real = families._cyclotomic_witness
 
-        def tampered(f, involved, target, m, points, weights, signs=None):
+        def tampered(f, involved, target, m, points, weights, signs):
             return real(f, involved, target, m, points, weights,
                         [-signs[0]] + signs[1:])
 
@@ -151,7 +151,7 @@ class TestClosedFormCheck:
     def test_shifted_xa_sum_b_weight_raises(self, monkeypatch):
         real = families._cyclotomic_witness
 
-        def tampered(f, involved, target, m, points, weights, signs=None):
+        def tampered(f, involved, target, m, points, weights, signs):
             return real(f, involved, target, m, points,
                         [(weights[0] + 1) % m] + weights[1:], signs)
 
