@@ -666,22 +666,37 @@ def minimal_generators(ideal: GradedIdeal) -> list[Poly]:
 
     In each degree the canonical basis rows that survive modulo
     T_1 * (previous slice) are kept, in basis order. Past a full slice
-    there is nothing to keep, since T_1 * T_(i-1) = T_i.
+    there is nothing to keep, since T_1 * T_(i-1) = T_i. The slices must
+    be closed under T_1, as verify_closure checks and every ideal built
+    here is: a product x_k * g then lies in I_i, and its coordinates in
+    I_i's basis are its entries at the pivot columns. With basis row j at
+    coordinate k-1-j, k = dim I_i, row j is redundant exactly when k-1-j
+    is a pivot of the products' span. Products with one coordinate are
+    peeled, and only the rest is inserted, sparsely, in dimension k.
     """
     n = len(ideal.varset)
     field = ideal.field
     gens: list[Poly] = []
     for i in range(ideal.D + 1):
         cur = ideal.slices[i]
-        if not cur.dim or i > 0 and ideal.slices[i - 1].is_full():
+        k = cur.dim
+        if not k or i > 0 and ideal.slices[i - 1].is_full():
             continue
-        # the previous degree's grown is released before this one is built
-        grown = Subspace.zero(cur.ambient, field)
+        coord = {p: k - 1 - j for j, p in enumerate(cur.pivots)}
+        prods = []
         if i:
-            _insert_times_linear(grown, ideal.slices[i - 1], n, i - 1)
-        if grown.is_full():
-            continue
-        for row in cur.sparse_rows():
-            if grown.insert_raw(row):
-                gens.append(_sparse_row_poly(ideal.varset, field, i, row))
+            shifts = _variable_shifts(n, i - 1)
+            prods = [{coord[s[c]]: v for c, v in row.items() if s[c] in coord}
+                     for row in ideal.slices[i - 1].sparse_rows()
+                     for s in shifts]
+        peeled, core = _peel(prods, False)
+        span = Subspace.zero(k, field)
+        for row in core:
+            if len(peeled) + span.dim == k:
+                break
+            span._insert(row)
+        redundant = set(peeled).union(span.pivots)
+        rows = cur.sparse_rows()
+        gens += [_sparse_row_poly(ideal.varset, field, i, rows[j])
+                 for j in range(k) if k - 1 - j not in redundant]
     return gens

@@ -240,6 +240,10 @@ class NumberField:
             raise InvalidExtension("minimal polynomial must be monic")
         if not squarefree_check(p):
             raise InvalidExtension("minimal polynomial must be squarefree")
+        self._setup(name, p)
+
+    def _setup(self, name, p: UniPoly) -> None:
+        """Fill the slots of QQ[z]/(p) for a trimmed monic squarefree p."""
         self.name = name
         self.minpoly = p
         self.degree = uni_degree(p)
@@ -391,7 +395,11 @@ def cyclotomic_field(m: int, name: str = "z") -> NumberField:
     root; built once per (m, name), as a NumberField never changes."""
     if m <= 2:
         return QQ
-    return NumberField(name, cyclotomic(m))
+    # Phi_m is irreducible, hence squarefree, so __init__'s check (minutes
+    # at degree 720) is skipped
+    field = object.__new__(NumberField)
+    field._setup(name, cyclotomic(m))
+    return field
 
 
 @lru_cache(maxsize=128)

@@ -19,9 +19,11 @@ a Subspace stores each basis row sparsely, as a {column: raw scalar} dict
 of its nonzero entries keyed by its pivot, and builds dense rows only when
 .rows is read. Incremental insertion works on those sparse rows: a vector
 is reduced only by the rows whose pivots lie in its support, so the
-annihilators and T_1-products of sparse forms (monomial ideals have one
-nonzero per row) cost their support, not their ambient. A full subspace
-stores no rows at all: its basis is the identity, built only when read.
+T_1-products of sparse forms (monomial ideals have one nonzero per row)
+cost their support, not their ambient. Minimal generators insert them in
+the coordinates of the next slice's basis instead, in a space of its
+dimension (apolar.minimal_generators). A full subspace stores no rows at
+all: its basis is the identity, built only when read.
 
 Pivoting always selects the first usable column, and kernels are emitted
 directly in canonical form by eliminating with the column order reversed.

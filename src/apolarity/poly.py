@@ -66,20 +66,33 @@ class VarSet:
 
 @lru_cache(maxsize=None)
 def _basis(nvars: int, degree: int) -> tuple[Exps, ...]:
-    """The monomial basis as a shared tuple, built once per (nvars, degree)."""
+    """The monomial basis as a shared tuple, built once per (nvars, degree).
+
+    No recursion: the exponents of all but the last two variables, the
+    head, run down in lex order, and each head adds its whole run
+    head + (rest - j, j), j = 0..rest, at once. The next head takes one
+    off its last nonzero exponent, and the variable after it (or the run,
+    past the head's end) takes that one together with rest."""
     if nvars < 1 or degree < 0:
         raise ValueError("need nvars >= 1 and degree >= 0")
+    if nvars == 1:
+        return ((degree,),)
+    head = [degree] + [0] * (nvars - 3) if nvars > 2 else []
+    rest = degree - sum(head)
     out: list[Exps] = []
-
-    def rec(prefix: tuple, remaining_vars: int, remaining_deg: int):
-        if remaining_vars == 1:
-            out.append(prefix + (remaining_deg,))
-            return
-        for e in range(remaining_deg, -1, -1):
-            rec(prefix + (e,), remaining_vars - 1, remaining_deg - e)
-
-    rec((), nvars, degree)
-    return tuple(out)
+    while True:
+        prefix = tuple(head)
+        out.extend([prefix + (rest - j, j) for j in range(rest + 1)])
+        i = len(head) - 1
+        while i >= 0 and not head[i]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        head[i] -= 1
+        if i + 1 < len(head):
+            head[i + 1], rest = rest + 1, 0
+        else:
+            rest += 1
 
 
 def monomial_basis(nvars: int, degree: int) -> list[Exps]:

@@ -138,7 +138,13 @@ class _Summand:
     def report(self, e: int | None) -> SummandReport:
         if e is not None and e in self.options:
             gens, t = self.options[e]
-            witness = lower_bound(self.form, list(gens), t)
+            # the engine's witness is reused where it ran this same
+            # (F, gens, t); its generators are distinct variables, so the
+            # validity a new call would give is the same too
+            witness, field = self.fallback.lower, self.form.field
+            if (self.fallback.form != self.form or witness.t != t.lift(field)
+                    or witness.gens != tuple(g.lift(field) for g in gens)):
+                witness = lower_bound(self.form, list(gens), t)
             if witness.bound != self.rank:
                 raise ArithmeticError(
                     "summand witness disagreed with the certified rank")

@@ -3,8 +3,8 @@ than the package uses so expected values come from an independent route."""
 
 from fractions import Fraction
 
-from apolarity.linalg import Matrix
-from apolarity.poly import Poly, apolar_action, monomial_basis
+from apolarity.linalg import Matrix, Subspace
+from apolarity.poly import Poly, apolar_action, monomial_basis, space_dim
 
 
 def naive_rref(rows):
@@ -125,3 +125,30 @@ def contraction_catalecticant(f, i):
             for alpha in monomial_basis(n, i)]
     rows = [list(r) for r in zip(*cols)]
     return Matrix.from_rows(rows, field=f.field, ncols=len(cols))
+
+
+def naive_minimal_generators(ideal):
+    """Minimal generators by growing T_1 * I_(i-1) in the full ambient of
+    each degree i, one Subspace.insert_raw per product x_k * g (multiplied
+    as polynomials), then inserting the canonical basis rows of I_i in
+    basis order: a row that grows the span is a generator.
+
+    Precondition: the slices are closed under T_1 (GradedIdeal.
+    verify_closure checks it; every ideal the package builds is). Without
+    it a product need not lie in I_i, and the generators read off I_i's
+    own coordinates may differ from these."""
+    field, varset, n = ideal.field, ideal.varset, len(ideal.varset)
+    xs = [Poly.variable(varset, k, field=field) for k in range(n)]
+
+    def raw(g, i):
+        return [field.to_raw(c) for c in g.to_vector(i)]
+
+    gens = []
+    for i in range(ideal.D + 1):
+        grown = Subspace.zero(space_dim(n, i), field)
+        for g in ideal.slice_polys(i - 1) if i else []:
+            for x in xs:
+                grown.insert_raw(raw(g * x, i))
+        gens += [g for g in ideal.slice_polys(i)
+                 if grown.insert_raw(raw(g, i))]
+    return gens

@@ -33,7 +33,8 @@ from apolarity.linalg import (Matrix, Subspace, kernel, matrix_rank,
                               subspace_intersect)
 from apolarity.poly import Poly, VarSet, apolar_action, monomial_basis, space_dim
 
-from conftest import naive_kernel, naive_rref, span_rref
+from conftest import (naive_kernel, naive_minimal_generators, naive_rref,
+                      span_rref)
 
 V2 = VarSet(("x0", "x1"))
 V3 = VarSet(("x0", "x1", "x2"))
@@ -237,6 +238,67 @@ def test_vandermonde_generator_degrees():
 
     gens = minimal_generators(perp(build_vandermonde(4)))
     assert [g.degree() for g in gens] == [1, 2, 3, 4]
+
+
+def _generator_oracle_ideals(rng):
+    """Seeded ideals of every kind minimal_generators is given, all closed
+    under T_1: annihilators over QQ and Q(zeta_5), ideals of a minimal
+    generating set with one generator dropped (not Gorenstein), point
+    ideals, monomial ideals and ideals with a full slice."""
+    V4 = VarSet(("x0", "x1", "x2", "x3"))
+    F5 = cyclotomic_field(5)
+    perps = []
+    for vs, d in ((V2, 5), (V3, 3), (V3, 4), (V4, 3)):
+        perps.append(perp(random_form(vs, d, rng)))
+        perps.append(perp(_sparse_form(vs, d, rng, QQ, (-3, -1, 1, 2, 5))))
+        perps.append(perp(_sparse_form(vs, d, rng, F5, (-2, -1, 1, 3))))
+    perps += [perp(_random_ext_form(V2, 4, rng, F5)),
+              perp(_random_ext_form(V3, 3, rng, F5)),
+              perp(random_form(V3, 3, rng), 6)]
+    ideals = list(perps)
+    for P in perps:
+        gens = naive_minimal_generators(P)
+        if len(gens) > 1:
+            del gens[rng.randrange(len(gens))]
+            ideals.append(ideal_from_generators(P.varset, gens, P.D))
+    for vs, field in ((V3, QQ), (V4, QQ), (V3, F5)):
+        z = field.gen() if not field.is_rationals() else field.one
+        pts = {tuple(field.from_rational(rng.randint(-3, 3))
+                     + z * rng.randint(0, 1) for _ in vs.names)
+               for _ in range(rng.randint(3, 8))}
+        pts = [p for p in pts if any(p)]
+        try:
+            ideals.append(points_ideal(sorted(pts, key=str), vs, 4, field))
+        except DuplicatePoint:
+            pass
+    for vs in (V2, V3, V4):
+        for _ in range(2):
+            monos = [mono(vs, rng.choice(monomial_basis(len(vs), d)))
+                     for d in (1, 2, 2, 3, 3, 3)[:rng.randint(2, 6)]]
+            ideals.append(ideal_from_generators(vs, monos, 5))
+    ideals.append(ideal_from_generators(
+        V3, [mono(V3, e) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))], 6))
+    ideals.append(ideal_from_generators(
+        V2, [mono(V2, (0, 1)) + mono(V2, (1, 0)), mono(V2, (2, 0)),
+             mono(V2, (0, 2))], 4))
+    return ideals
+
+
+def test_minimal_generators_match_insertion_oracle():
+    # the generators, their order included, equal those of growing
+    # T_1 * I_(i-1) in the full ambient one insert_raw at a time
+    rng = random.Random(43)
+    ideals = [I for _ in range(3) for I in _generator_oracle_ideals(rng)]
+    several = full = 0
+    for ideal in ideals:
+        assert ideal.verify_closure()
+        gens = minimal_generators(ideal)
+        assert gens == naive_minimal_generators(ideal), ideal
+        degrees = [g.degree() for g in gens]
+        several += any(degrees.count(d) > 1 for d in degrees)
+        full += any(s.is_full() and not prev.is_full()
+                    for prev, s in zip(ideal.slices, ideal.slices[1:]))
+    assert len(ideals) >= 100 and several >= 50 and full >= 50
 
 
 def test_gorenstein_symmetry():

@@ -103,6 +103,18 @@ class TestCyclotomic:
                 prod = uni_mul(prod, cyclotomic(d))
         assert prod == uni_trim([-1] + [0] * (m - 1) + [1])
 
+    def test_field_equals_checked_constructor(self):
+        # cyclotomic_field skips the squarefree check of NumberField, which
+        # stays the oracle: every slot of the two fields agrees
+        for m in range(3, 41):
+            for name in ("z", "w"):
+                fast = cyclotomic_field(m, name)
+                checked = NumberField(name, cyclotomic(m))
+                assert fast == checked and hash(fast) == hash(checked)
+                for slot in NumberField.__slots__:
+                    assert getattr(fast, slot) == getattr(checked, slot)
+        assert cyclotomic_field(1) is QQ and cyclotomic_field(2) is QQ
+
 
 class TestNumberField:
     def test_rationals_singleton(self):

@@ -45,6 +45,23 @@ class TestBasics:
         with pytest.raises(ValueError):
             monomial_basis(0, 2)
 
+    def test_basis_matches_recursive_definition(self):
+        # the lex-descending tuples of the recursive definition: the first
+        # exponent runs down, and each value heads the basis of the rest
+        def recursive(nvars, degree):
+            if nvars == 1:
+                return [(degree,)]
+            return [(e,) + rest for e in range(degree, -1, -1)
+                    for rest in recursive(nvars - 1, degree - e)]
+
+        for nvars in range(1, 6):
+            for degree in range(9):
+                assert _basis(nvars, degree) == tuple(recursive(nvars,
+                                                                degree))
+        assert _basis(2, 2000) == tuple(recursive(2, 2000))
+        with pytest.raises(ValueError):
+            _basis(2, -1)
+
     def test_degree_and_homogeneity(self):
         f = P(V2, {(2, 0): 1, (0, 2): -1})
         assert f.degree() == 2 and f.is_homogeneous()
