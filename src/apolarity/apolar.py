@@ -34,9 +34,9 @@ elimination at all. The assembly has three consumers:
   assembled row gamma divided by gamma! again.
 
 add_principal adds (t) to a sliced ideal by one batch elimination per
-degree. Point evaluations come from poly._power_values, which also
-expands powers of linear forms, over QQ on an integer multiple of each
-point.
+degree. Point evaluations come from poly._power_values, the routine
+behind Poly.__pow__ of a linear form, over QQ on an integer multiple of
+each point.
 
 Groebner machinery is deliberately absent; degreewise exact linear algebra
 decides everything needed.

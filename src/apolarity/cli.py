@@ -84,9 +84,11 @@ def _parse_points(text: str, form: Poly, gen_name) -> list[tuple]:
     return points
 
 
-def _emit(args, data: dict, lines: list[str]) -> None:
+def _emit(args, body, lines: list[str]) -> None:
+    """Print the JSON report body() under --json, else the text lines; the
+    report is built only when it is printed."""
     if args.json:
-        print(json.dumps(data, indent=2))
+        print(json.dumps(body(), indent=2))
     else:
         for line in lines:
             print(line)
@@ -108,21 +110,19 @@ def _cmd_perp(args):
         lines.append(f"degree {i}: dim {sl.dim}")
         for b in basis:
             lines.append(f"  {b}")
-    data = {"module": "apolar", "form": str(f), "degree_cap": D,
-            "slices": slices}
-    _emit(args, data, lines)
+    _emit(args, lambda: {"module": "apolar", "form": str(f), "degree_cap": D,
+                         "slices": slices}, lines)
     return 0
 
 
 def _cmd_gens(args):
     f, _ = _load_form(args)
     D = args.degree_cap if args.degree_cap is not None else f.degree() + 1
-    gens = minimal_generators(perp(f, D))
-    lines = [f"deg {g.degree()}: {g.dual_str()}" for g in gens]
-    data = {"module": "apolar", "form": str(f), "degree_cap": D,
-            "generators": [{"degree": g.degree(), "op": g.dual_str()}
-                           for g in gens]}
-    _emit(args, data, lines)
+    gens = [(g.degree(), g.dual_str()) for g in minimal_generators(perp(f, D))]
+    _emit(args, lambda: {"module": "apolar", "form": str(f), "degree_cap": D,
+                         "generators": [{"degree": k, "op": op}
+                                        for k, op in gens]},
+          [f"deg {k}: {op}" for k, op in gens])
     return 0
 
 
@@ -130,9 +130,9 @@ def _cmd_hf(args):
     f, _ = _load_form(args)
     D = args.degree_cap if args.degree_cap is not None else f.degree() + 1
     profile = perp_hf(f, D)
-    data = {"module": "apolar", "form": str(f),
-            "values": list(profile.values), "total": profile.total()}
-    _emit(args, data, _hf_rows(profile.values))
+    _emit(args, lambda: {"module": "apolar", "form": str(f),
+                         "values": list(profile.values),
+                         "total": profile.total()}, _hf_rows(profile.values))
     return 0
 
 
@@ -143,10 +143,9 @@ def _cmd_cat(args):
     r = catalecticant_rank(f, args.e)
     n = len(f.varset)
     nrows, ncols = space_dim(n, f.degree() - args.e), space_dim(n, args.e)
-    data = {"module": "apolar", "form": str(f), "e": args.e,
-            "rows": nrows, "cols": ncols, "rank": r}
-    _emit(args, data, [f"catalecticant C_{args.e}: "
-                       f"{nrows} x {ncols}, rank {r}"])
+    _emit(args, lambda: {"module": "apolar", "form": str(f), "e": args.e,
+                         "rows": nrows, "cols": ncols, "rank": r},
+          [f"catalecticant C_{args.e}: {nrows} x {ncols}, rank {r}"])
     return 0
 
 
@@ -166,9 +165,8 @@ def _cmd_lb(args):
              f"t = {w.t.dual_str()}", "hf:"]
     lines += _hf_rows(w.profile.values)
     lines.append(f"lower bound = {w.bound} ({w.validity})")
-    data = {"module": "bounds", "form": str(f)}
-    data.update(w.as_dict())
-    _emit(args, data, lines)
+    _emit(args, lambda: {"module": "bounds", "form": str(f), **w.as_dict()},
+          lines)
     return 0
 
 
@@ -180,16 +178,14 @@ def _cmd_ub(args):
     witness = upper_bound_from_points(f, pts)
     if witness is None:
         msg = "the given points admit no decomposition of the form"
-        _emit(args, {"module": "bounds", "form": str(f), "count": None,
-                     "refuted": True, "message": msg}, [msg])
+        _emit(args, lambda: {"module": "bounds", "form": str(f), "count": None,
+                             "refuted": True, "message": msg}, [msg])
         return 3
     d = witness.as_dict()
     lines = [f"count = {witness.count}"]
     for p, c in zip(d["points"], d["coefficients"]):
         lines.append(f"point ({', '.join(p)}): coefficient {c}")
-    data = {"module": "bounds", "form": str(f)}
-    data.update(d)
-    _emit(args, data, lines)
+    _emit(args, lambda: {"module": "bounds", "form": str(f), **d}, lines)
     return 0
 
 
@@ -204,8 +200,6 @@ def _cmd_certify(args):
         t = ops[0] if ops else None
     points = _parse_points(args.points, f, gen_name) if args.points else None
     cert = certify(f, gens, t, points, args.seed)
-    data = {"module": "bounds"}
-    data.update(cert.as_dict())
     lines = [f"status = {cert.status}",
              f"lower bound = {cert.lower.bound} (e = {cert.lower.e}, "
              f"{cert.lower.validity})"]
@@ -213,18 +207,14 @@ def _cmd_certify(args):
         lines.append(f"points = {cert.upper.count}")
     if cert.rank is not None:
         lines.append(f"rank = {cert.rank}")
-        _emit(args, data, lines)
-        return 0
-    _emit(args, data, lines)
-    return 2
+    _emit(args, lambda: {"module": "bounds", **cert.as_dict()}, lines)
+    return 2 if cert.rank is None else 0
 
 
 def _cmd_rank(args):
     f, _ = _load_form(args)
     found = analyze(f, seed=args.seed, e=1 if args.e is None else args.e)
     label = FAMILY_LABEL[found.tag]
-    data = {"module": "families", "form": str(f), "family": label}
-    data.update(found.result.as_dict())
     lo, hi = found.bounds
     if found.rank is not None:
         line, code = f"rank = {found.rank} ({label}, certified)", 0
@@ -232,7 +222,8 @@ def _cmd_rank(args):
         line, code = f"{lo} <= rank <= {hi} ({label}, bounds only)", 2
     else:
         line, code = f"rank >= {lo} ({label}, bounds only)", 2
-    _emit(args, data, [line])
+    _emit(args, lambda: {"module": "families", "form": str(f), "family": label,
+                         **found.result.as_dict()}, [line])
     return code
 
 
@@ -243,9 +234,8 @@ def _cmd_sylvester(args):
     lines = [f"h1 = {syl.h1.dual_str()} (degree {syl.d1}, {sq})",
              f"h2 = {syl.h2.dual_str()} (degree {syl.d2})",
              f"rank = {syl.rank}"]
-    data = {"module": "families", "form": str(f)}
-    data.update(syl.as_dict())
-    _emit(args, data, lines)
+    _emit(args, lambda: {"module": "families", "form": str(f),
+                         **syl.as_dict()}, lines)
     return 0
 
 
@@ -270,9 +260,7 @@ def _cmd_strassen(args):
         lines.append(f"interval = [{lo}, {hi_txt}]")
     for note in report.notes:
         lines.append(f"note: {note}")
-    data = {"module": "strassen"}
-    data.update(report.as_dict())
-    _emit(args, data, lines)
+    _emit(args, lambda: {"module": "strassen", **report.as_dict()}, lines)
     if report.verdict == "certified":
         return 0
     if report.verdict in ("conditional", "failed"):
@@ -282,26 +270,24 @@ def _cmd_strassen(args):
 
 def _cmd_vandermonde(args):
     res = vandermonde(args.n, solve_points=True if args.solve else None)
-    data = {"module": "families"}
-    data.update(res.as_dict())
     lines = [f"V_{args.n}: rank = {res.rank} ({res.status})", "hf:"]
     lines += _hf_rows(res.lower.profile.values)
-    _emit(args, data, lines)
+    _emit(args, lambda: {"module": "families", **res.as_dict()}, lines)
     return 0
 
 
 def _cmd_split(args):
     f, _ = _load_form(args)
-    blocks = split_disjoint(f)
     lines = []
     items = []
-    for i, (comp, positions) in enumerate(blocks):
+    for i, (comp, positions) in enumerate(split_disjoint(f)):
         g = restrict_to_vars(comp, positions)
         names = [f.varset.names[j] for j in positions]
-        lines.append(f"block {i} ({', '.join(names)}): {g}")
-        items.append({"variables": names, "form": str(g)})
-    data = {"module": "poly", "form": str(f), "blocks": items}
-    _emit(args, data, lines)
+        text = str(g)
+        lines.append(f"block {i} ({', '.join(names)}): {text}")
+        items.append({"variables": names, "form": text})
+    _emit(args, lambda: {"module": "poly", "form": str(f), "blocks": items},
+          lines)
     return 0
 
 
@@ -309,10 +295,10 @@ def _cmd_reduce(args):
     f, _ = _load_form(args)
     k, red = essential_form(f)
     n = len(f.varset)
-    lines = [f"essential variables: {k} of {n}", f"reduced = {red}"]
-    data = {"module": "bounds", "form": str(f), "essential": k,
-            "removed": n - k, "reduced": str(red)}
-    _emit(args, data, lines)
+    reduced = str(red)
+    _emit(args, lambda: {"module": "bounds", "form": str(f), "essential": k,
+                         "removed": n - k, "reduced": reduced},
+          [f"essential variables: {k} of {n}", f"reduced = {reduced}"])
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, perm
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -257,15 +257,24 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, exp: int) -> "Poly":
-        """1 * self * ... * self, one factor at a time. Squaring would save
-        products, but a square of a dense form costs as much as all the
-        products up to the same degree that it saves."""
+        """self^exp. A linear base expands by _power_values over only the
+        variables it uses, never the whole ambient; any other base can
+        collide in its products, so it is multiplied one factor at a time."""
         if not isinstance(exp, int) or exp < 0:
             raise ValueError("polynomial powers need a nonnegative integer")
-        result = Poly.constant(self.varset, 1, self.field)
-        for _ in range(exp):
-            result = result * self
-        return result
+        field = self.field
+        pos = [e.index(1) for e in self.terms if sum(e) == 1]
+        if not pos or len(pos) != len(self.terms):
+            return reduce(mul, [self] * exp, Poly.constant(self.varset, 1, field))
+        values = _power_values([field.to_raw(c) for c in self.terms.values()],
+                               [exp], field.raw_ops(), field.raw_one,
+                               field.raw_zero, True)[0]
+        terms, big = {}, [0] * len(self.varset)
+        for comp, v in zip(_basis(len(pos), exp), values):
+            for i, e in zip(pos, comp):
+                big[i] = e
+            terms[tuple(big)] = field.from_raw(v)
+        return Poly(self.varset, terms, field)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -473,21 +482,10 @@ def _power_values(point: Sequence, degrees: Sequence[int], ops, one, zero,
 
 
 def power_of_linear(linear: Poly, d: int) -> Poly:
-    """Expand L^d for a linear form via multinomials, without repeated
-    products (see _power_values)."""
+    """L^d for a nonzero linear form L: linear ** d."""
     if linear.is_zero() or linear.degree() != 1:
         raise ValueError("power_of_linear needs a nonzero linear form")
-    if d < 0:
-        raise ValueError("the exponent must be nonnegative")
-    n = len(linear.varset)
-    field = linear.field
-    coords = [field.to_raw(linear.coeff(tuple(1 if j == i else 0
-                                               for j in range(n))))
-              for i in range(n)]
-    values = _power_values(coords, [d], field.raw_ops(), field.raw_one,
-                           field.raw_zero, True)[0]
-    return Poly(linear.varset, {exps: field.from_raw(v) for exps, v
-                                in zip(_basis(n, d), values)}, field)
+    return linear ** d
 
 
 def split_disjoint(f: Poly) -> list[tuple[Poly, tuple[int, ...]]]:

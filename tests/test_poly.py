@@ -82,27 +82,43 @@ class TestBasics:
 
     @pytest.mark.parametrize("field", [QQ, cyclotomic_field(5)])
     def test_power_is_the_repeated_product(self, field):
-        # ** multiplies one factor at a time; compare with the product
-        # written out, with squaring, with the multinomial expansion of a
-        # linear form, and with the parser's reading of (..)^k
+        # ** expands a linear base by the multinomial theorem over the
+        # variables it uses and multiplies any other base one factor at a
+        # time; both are compared with the product written out, with
+        # squaring, with power_of_linear and with the parser's (..)^k
         from apolarity.parser import parse_poly
 
         z = field.gen()
+        V5 = VarSet([f"y{i}" for i in range(5)])
+        V12 = VarSet([f"x{i}" for i in range(12)])
         base = P(V3, {(1, 0, 0): 1, (0, 1, 0): z, (0, 0, 1): Fraction(-2, 3)},
                  field)
         dense = base * base + P(V3, {(1, 1, 0): 3}, field)
-        for g in (base, dense, P(V3, {(0, 2, 1): z}, field)):
-            for k in range(6):
-                product = Poly.constant(V3, 1, field)
+        # a linear form on two of five variables, written with zero
+        # coefficients, one whose terms run against the variable order,
+        # and one variable among twelve
+        subset = linear_form(V5, [0, z + 2, 0, Fraction(-2, 3), 0], field)
+        backwards = P(V3, {(0, 0, 1): 5, (1, 0, 0): z - 1}, field)
+        single = Poly.variable(V12, 7, field=field)
+        others = [dense, P(V3, {(0, 2, 1): z}, field),
+                  Poly.constant(V3, Fraction(-3, 2), field),
+                  Poly.constant(V3, z, field),            # the generator
+                  P(V3, {(1, 0, 0): 1, (0, 0, 0): 1}, field),   # x0 + 1
+                  Poly.zero(V3, field)]
+        for g in [base, subset, backwards, single] + others:
+            one = Poly.constant(g.varset, 1, field)
+            for k in range(8):
+                product = one
                 for _ in range(k):
                     product = product * g
-                squared, rest, acc = g, k, Poly.constant(V3, 1, field)
+                squared, rest, acc = g, k, one
                 while rest:
                     if rest & 1:
                         acc = acc * squared
                     squared, rest = squared * squared, rest >> 1
                 assert g ** k == product == acc
-        assert base ** 7 == power_of_linear(base, 7)
+        for g in (base, subset, backwards, single):
+            assert g ** 7 == power_of_linear(g, 7)
         text = "(x0 + 2*x1 - 1/3*x2)"
         f = parse_poly(text, varnames=V3.names)
         assert parse_poly(text + "^6", varnames=V3.names) == f ** 6
