@@ -2,8 +2,10 @@
 
 Every family result recomputes its lower bound through the quotient engine
 rather than trusting the closed formula; upper bounds are point
-decompositions in closed form, checked exactly by _cyclotomic_witness
-without a linear solve, or self-contained cited statements.
+decompositions in closed form, checked exactly without a linear solve (a
+monomial's on its grid of residues by _grid_check, with no visit of the
+other monomials; the XaSumB and Vandermonde ones by the signed counts of
+_cyclotomic_witness), or self-contained cited statements.
 
 analyze() classifies a form and runs the engine that ENGINES maps its tag
 to. The FamilyAnalysis it returns is all that `apolarity rank` prints and
@@ -324,32 +326,34 @@ def monomial_rank(f: Poly) -> int:
 
 
 def _monomial_grid(exps, involved, pivot):
-    """(others, m, grid) for the points of a monomial: the involved
-    variables other than the pivot, the order m of the roots of unity, and
-    per point the exponents k with coordinate zeta_m^k at each of others
-    (the pivot coordinate is 1)."""
-    others = [i for i in involved if i != pivot]
-    m = math.lcm(*(exps[i] + 1 for i in others)) if others else 1
-    grid = list(itertools.product(*(range(0, m, m // (exps[i] + 1))
-                                    for i in others)))
-    return others, m, grid
+    """(m, grid) for the points of a monomial: the order m of the roots of
+    unity, and per point the exponents k with coordinate zeta_m^k at each
+    involved variable, 0 at the pivot (its coordinate is 1)."""
+    m = math.lcm(*(exps[i] + 1 for i in involved if i != pivot))
+    return m, list(itertools.product(*(
+        range(0, m, m // (exps[i] + 1)) if i != pivot else (0,)
+        for i in involved)))
+
+
+def _root_points(fld, m: int, nvars: int, involved, points) -> list:
+    """Points given by exponents of zeta_m at the involved variables, as
+    coordinate tuples over fld with 0 at every other variable."""
+    roots, out = roots_of_unity(fld, m), []
+    for es in points:
+        pt = [fld.zero] * nvars
+        for i, k in zip(involved, es):
+            pt[i] = roots[k]
+        out.append(tuple(pt))
+    return out
 
 
 def monomial_points(f: Poly):
     """The decomposition points of a monomial: pivot coordinate 1, the other
     involved coordinates running over all (a_i+1)-th roots of unity."""
     exps, involved, pivot = _monomial_data(f)
-    others, m, grid = _monomial_grid(exps, involved, pivot)
+    m, grid = _monomial_grid(exps, involved, pivot)
     fld = cyclotomic_field(m)
-    roots = roots_of_unity(fld, m)
-    points = []
-    for ks in grid:
-        coords = [fld.zero] * len(f.varset)
-        coords[pivot] = fld.one
-        for i, k in zip(others, ks):
-            coords[i] = roots[k]
-        points.append(tuple(coords))
-    return points, fld
+    return _root_points(fld, m, len(f.varset), involved, grid), fld
 
 
 def _closed_form(exps, involved, pivot):
@@ -363,22 +367,46 @@ def _closed_form(exps, involved, pivot):
     m, each point as the exponents of its coordinates on the involved
     variables (the others are 0) and the weight exponents w_k.
     """
-    others, m, grid = _monomial_grid(exps, involved, pivot)
+    m, grid = _monomial_grid(exps, involved, pivot)
     d = sum(exps)
     points, weights = [], []
     for ks in grid:
-        k = dict(zip(others, ks))
-        k[pivot] = 0
-        lead = k[involved[0]]
-        points.append(tuple((k[i] - lead) % m for i in involved))
-        weights.append((d * lead - sum(exps[i] * k[i] for i in others)) % m)
+        points.append(tuple((k - ks[0]) % m for k in ks))
+        weights.append((d * ks[0] - sum(exps[i] * k
+                                        for i, k in zip(involved, ks))) % m)
     return m, points, weights
+
+
+def _grid_check(exps, involved, pivot, m: int, points, weights) -> int:
+    """lambda with sum_k zeta_m^(w_k) L_k^d = lambda*x^a for _closed_form's
+    data, checked in O(points), or ArithmeticError raised.
+
+    Scaled to pivot coordinate 1, the points have exponents u_i = e_i - e_p.
+    They must be distinct, prod_(i != p)(a_i+1) in number and satisfy
+    (a_i+1)*u_i = 0 mod m, so u meets each class of the grid of (a_i+1)-th
+    roots of unity once; and w_k + d*e_p + a.u = 0 mod m. As b.e = d*e_p + b.u,
+    x^b then has the coefficient multinomial(d; b) prod_(i != p)
+    sum_(j <= a_i) zeta_(a_i+1)^(j*(b_i-a_i)), whose factors are a_i+1 if
+    a_i+1 divides b_i-a_i and 0 otherwise. A surviving b_i-a_i >= -a_i is a
+    nonnegative multiple of a_i+1; they sum to a_p-b_p <= a_p < a_i+1, so
+    only b = a survives, and lambda = multinomial(d; a) prod_(i != p)(a_i+1).
+    """
+    j, d, seen = involved.index(pivot), sum(exps), set()
+    for es, w in zip(points, weights):
+        u = tuple((k - es[j]) % m for k in es)
+        seen.add(u)
+        if ((w + d * es[j] + sum(exps[i] * x for i, x in zip(involved, u))) % m
+                or any((exps[i] + 1) * x % m for i, x in zip(involved, u))):
+            raise ArithmeticError("decomposition failed re-verification")
+    size = math.prod(exps[i] + 1 for i in involved if i != pivot)
+    if not len(seen) == len(points) == size:
+        raise ArithmeticError("decomposition failed re-verification")
+    return _multinomial(d, [exps[i] for i in involved]) * size
 
 
 def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
                         weights, signs) -> UpperBoundWitness | None:
-    """F's part c*target as sum_k c_k L_k^d, exactly checked; None when F
-    lies over an extension other than Q(zeta_m) with m >= 3.
+    """F's part c*target as sum_k c_k L_k^d for XaSumB and Vandermonde.
 
     target maps exponents on the involved variables to +-1. L_k is zeta_m^e
     on them, e = points[k], and 0 elsewhere. The one lambda in Q(zeta_m)
@@ -386,15 +414,11 @@ def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
     is read off without expanding, or ArithmeticError raised: the
     coefficient of x^b on the left is multinomial(d; b) times
     sum_k s_k zeta^(w_k + b.e_k), a signed count per exponent class mod m
-    reduced by Phi_m. Returns c_k = s_k zeta^(w_k) c/lambda, where c is F's
-    coefficient over target's at the first target monomial.
+    reduced by the nonzero coefficients of Phi_m, for every degree-d b.
     """
-    fld = f.field if m <= 2 else cyclotomic_field(m)
-    if not (m <= 2 or f.field.is_rationals() or f.field == fld):
-        return None
     d = sum(next(iter(target)))
-    phi = [int(c) for c in cyclotomic(m)]
-    n = len(phi) - 1
+    phi = cyclotomic(m)
+    n, low = len(phi) - 1, [(t, int(c)) for t, c in enumerate(phi[:-1]) if c]
     cols = list(zip(*points))
     lam = lead = None
     for b in _basis(len(involved), d):
@@ -408,8 +432,8 @@ def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
         for k in range(m - 1, n - 1, -1):
             c = counts[k]
             if c:
-                for t in range(n):
-                    counts[k - n + t] -= c * phi[t]
+                for t, p in low:
+                    counts[k - n + t] -= c * p
         sign = target.get(b)
         if sign is None:
             if any(counts[:n]):
@@ -422,21 +446,27 @@ def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
             raise ArithmeticError("decomposition failed re-verification")
     if not any(lam):
         raise ArithmeticError("decomposition failed re-verification")
+    return _exponent_witness(f, involved, m, points, weights, signs, lead,
+                             [target[lead] * x for x in lam])
+
+
+def _exponent_witness(f: Poly, involved, m: int, points, weights, signs,
+                      lead, den) -> UpperBoundWitness | None:
+    """The points and c_k = s_k zeta^(w_k) c/den of a checked decomposition,
+    c F's coefficient at lead and den target's there times lambda; None when
+    F lies over an extension other than Q(zeta_m) with m >= 3."""
+    fld = f.field if m <= 2 else cyclotomic_field(m)
+    if not (m <= 2 or f.field.is_rationals() or f.field == fld):
+        return None
     at = dict(zip(involved, lead))
     scale = f.lift(fld).coeff([at.get(i, 0) for i in range(len(f.varset))])
     # a rational lambda is inverted as a Fraction, not through the field
-    den = [target[lead] * x for x in lam]
     inv = (scale / fld.element(den) if any(den[1:])
            else scale * Fraction(1, den[0]))
     roots = roots_of_unity(fld, m)
-    coords = []
-    for es in points:
-        pt = [fld.zero] * len(f.varset)
-        for i, k in zip(involved, es):
-            pt[i] = roots[k]
-        coords.append(tuple(pt))
     coeffs = tuple(roots[w] * inv if s > 0 else -(roots[w] * inv)
                    for w, s in zip(weights, signs))
+    coords = _root_points(fld, m, len(f.varset), involved, points)
     return UpperBoundWitness(tuple(coords), coeffs, len(coords), fld)
 
 
@@ -460,14 +490,13 @@ def monomial_certificate(f: Poly, e: int = 1,
     upper = None
     if solve_points:
         m, points, weights = _closed_form(exps, involved, pivot)
-        upper = _cyclotomic_witness(f, involved,
-                                    {tuple(exps[i] for i in involved): 1}, m,
-                                    points, weights, [1] * len(points))
+        lam = _grid_check(exps, involved, pivot, m, points, weights)
+        upper = _exponent_witness(f, involved, m, points, weights,
+                                  [1] * len(points),
+                                  tuple(exps[i] for i in involved), [lam])
     if upper is None:
         return RankCertificate(f, witness, None, "cited-upper", rank,
                                MONOMIAL_CITATION)
-    if upper.count != rank:
-        raise ArithmeticError("monomial decomposition has the wrong size")
     return RankCertificate(f, witness, upper, "certified-equal")
 
 

@@ -56,19 +56,11 @@ def uni_degree(p: UniPoly) -> int:
     return len(p) - 1
 
 
-def uni_add(p: UniPoly, q: UniPoly) -> UniPoly:
+def uni_sub(p: UniPoly, q: UniPoly) -> UniPoly:
     n = max(len(p), len(q))
     return uni_trim(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
+        (p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)
     )
-
-
-def uni_neg(p: UniPoly) -> UniPoly:
-    return tuple(-c for c in p)
-
-
-def uni_sub(p: UniPoly, q: UniPoly) -> UniPoly:
-    return uni_add(p, uni_neg(q))
 
 
 def uni_scale(p: UniPoly, c) -> UniPoly:
@@ -248,21 +240,17 @@ class NumberField:
         self.minpoly = p
         self.degree = uni_degree(p)
         self._key = (name, p)
-        # coords of z^k mod p for k = degree .. 2*degree-2, used in products
+        # z^k mod p for k = degree .. 2*degree-2, used in products, each row
+        # kept as the (index, value) pairs of its nonzero coordinates
         m = self.degree
-        zpows = []
-        cur = tuple(-c for c in p[:m])
-        zpows.append(cur)
-        for _ in range(m - 2):
-            shifted = [Fraction(0)] + list(cur[:-1])
-            top = cur[-1]
+        cur = [-c for c in p[:m]]
+        self._zpows = zpows = []
+        for _ in range(m - 1):
+            zpows.append([(j, c) for j, c in enumerate(cur) if c])
+            top, cur = cur[-1], [Fraction(0)] + cur[:-1]
             if top:
-                base = zpows[0]
-                for j in range(m):
-                    shifted[j] += top * base[j]
-            cur = tuple(shifted)
-            zpows.append(cur)
-        self._zpows = zpows
+                for j, c in zpows[0]:
+                    cur[j] += top * c
         self.raw_zero = self.raw_rational(0)
         self.raw_one = self.raw_rational(1)
 
@@ -351,20 +339,18 @@ class NumberField:
         m = self.degree
         if m == 1:
             return (a[0] * b[0],)
+        nb = [(j, y) for j, y in enumerate(b) if y]
         conv = [Fraction(0)] * (2 * m - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
+                for j, y in nb:
+                    conv[i + j] += x * y
         out = conv[:m]
         for k in range(m, 2 * m - 1):
             c = conv[k]
             if c:
-                zp = self._zpows[k - m]
-                for j in range(m):
-                    if zp[j]:
-                        out[j] += c * zp[j]
+                for j, z in self._zpows[k - m]:
+                    out[j] += c * z
         return tuple(out)
 
     def inv_coords(self, a):

@@ -1,13 +1,15 @@
 """The two exact certificates behind every upper bound.
 
 A family's decomposition (monomial, XaSumB with b <= a, Vandermonde) comes
-in closed form and is checked by integer counts of roots of unity; the
-decompositions of user points come from linalg.solve, which returns only
+in closed form and is checked on exponents of roots of unity, a monomial's
+on its grid of residues and the others by integer counts, which serve as
+the monomial check's oracle; the decompositions of user points come from linalg.solve, which returns only
 solutions that pass the integer check M x = b. Each is tested against an
 independent derivation and against a deliberate fault.
 """
 
 import io
+import itertools
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -18,7 +20,7 @@ from apolarity import families, linalg, modular
 from apolarity.bounds import upper_bound_from_points
 from apolarity.cli import run
 from apolarity.families import monomial_certificate, monomial_points
-from apolarity.fields import QQ, NumberField
+from apolarity.fields import QQ, NumberField, cyclotomic_field
 from apolarity.linalg import Matrix, solve
 from apolarity.poly import Poly, VarSet
 
@@ -195,6 +197,100 @@ class TestClosedFormCheck:
         cert = monomial_certificate(f, solve_points=False)
         assert cert.status == "cited-upper"
         assert cert.upper is None and cert.rank == 3
+
+
+def counted_witness(f, closed_form=families._closed_form):
+    """The signed counting loop of the XaSumB and Vandermonde witnesses,
+    run on the monomial's closed-form data: the oracle of its grid check."""
+    exps, involved, pivot = families._monomial_data(f)
+    m, points, weights = closed_form(exps, involved, pivot)
+    return families._cyclotomic_witness(
+        f, involved, {tuple(exps[i] for i in involved): 1}, m, points,
+        weights, [1] * len(points))
+
+
+def witness_data(w):
+    return None if w is None else (w.points, w.coefficients, w.count, w.field)
+
+
+class TestGridCheckAgainstCounting:
+    def test_every_small_exponent_vector(self):
+        # 2 or 3 involved variables, exponents 1..4, with the pivot first,
+        # in the middle or last, tied least exponents, a zero exponent in
+        # any place, and seeded non-unit rational coefficients
+        rng = random.Random(23)
+        vs = VarSet(("x0", "x1", "x2"))
+        checked = 0
+        for exps in itertools.product(range(5), repeat=3):
+            if sum(1 for a in exps if a) < 2:
+                continue
+            coeff = Fraction(rng.choice([-7, -3, -1, 2, 5]), rng.randint(1, 6))
+            f = Poly.monomial(vs, exps, coeff)
+            cert = monomial_certificate(f)
+            assert cert.status == "certified-equal"
+            assert witness_data(cert.upper) == witness_data(counted_witness(f))
+            checked += 1
+        assert checked == 112
+
+    @pytest.mark.parametrize("exps,status", [
+        ((1, 1, 0), "certified-equal"),    # m = 2: points +-1
+        ((1, 1, 1), "certified-equal"),    # m = 2, three variables
+        ((0, 3, 0), "certified-equal"),    # m = 1: a pure power
+        ((2, 1, 1), "cited-upper"),        # m = 6: no zeta_6 in Q(zeta_5)
+    ])
+    def test_form_over_another_cyclotomic_field(self, exps, status):
+        fld = cyclotomic_field(5)
+        f = Poly.monomial(VarSet(("x0", "x1", "x2")), exps,
+                          fld.element([2, 1]), field=fld)
+        cert = monomial_certificate(f)
+        assert cert.status == status
+        assert witness_data(cert.upper) == witness_data(counted_witness(f))
+        if cert.upper is not None:
+            assert cert.upper.field == fld
+
+
+def duplicated(exps, involved, pivot, m, points, weights):
+    # the count stays, but one residue class of the grid goes missing
+    return points[:-1] + points[:1], weights[:-1] + weights[:1]
+
+
+def off_grid(exps, involved, pivot, m, points, weights):
+    # a residue between two (a_i+1)-th roots, its weight still consistent
+    x = next(x for x, i in enumerate(involved) if i != pivot)
+    es = list(points[0])
+    es[x] = (es[x] + 1) % m
+    return ([tuple(es)] + points[1:],
+            [(weights[0] - exps[involved[x]]) % m] + weights[1:])
+
+
+def shifted_weight(exps, involved, pivot, m, points, weights):
+    return points, weights[:-1] + [(weights[-1] + 1) % m]
+
+
+def dropped(exps, involved, pivot, m, points, weights):
+    return points[:-1], weights[:-1]
+
+
+class TestGridCheckTampered:
+    @pytest.mark.parametrize("tamper", [duplicated, off_grid, shifted_weight,
+                                        dropped])
+    def test_tampered_grid_raises(self, monkeypatch, tamper):
+        real = families._closed_form
+
+        def tampered(exps, involved, pivot):
+            m, points, weights = real(exps, involved, pivot)
+            return (m,) + tamper(exps, involved, pivot, m, points, weights)
+
+        f = Poly.monomial(VarSet(("x", "y", "z")), (1, 2, 3))
+        # the counting oracle refuses the same data
+        with pytest.raises(ArithmeticError,
+                           match="decomposition failed re-verification"):
+            counted_witness(f, tampered)
+        monkeypatch.setattr(families, "_closed_form", tampered)
+        with pytest.raises(ArithmeticError,
+                           match="decomposition failed re-verification"):
+            monomial_certificate(f)
+        assert cli(["rank", "x*y^2*z^3"]) == (4, "", REVERIFICATION)
 
 
 def wrapped(field, rows, rhs, x):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from apolarity.fields import (
     cyclotomic_field,
     field_invert,
     root_of_unity,
+    roots_of_unity,
     squarefree_check,
     uni_degree,
     uni_divmod,
@@ -199,3 +201,49 @@ def test_field_element_hashable():
     seen = {field.gen(), field.gen() ** 2, field.one}
     assert len(seen) == 3
     assert field.gen() in seen
+
+
+def schoolbook(field, a, b):
+    """a*b as the full convolution of coordinates, reduced by the minimal
+    polynomial with uni_divmod."""
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    rem = uni_divmod(uni_trim(conv), field.minpoly)[1]
+    return rem + (Fraction(0),) * (field.degree - len(rem))
+
+
+def seeded_operands(rng, n):
+    """Coordinate tuples of length n: dense, sparse, zero, one nonzero."""
+    def value():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    dense = tuple(value() for _ in range(n))
+    sparse = tuple(value() if rng.random() < 0.3 else Fraction(0)
+                   for _ in range(n))
+    single = [Fraction(0)] * n
+    single[rng.randrange(n)] = Fraction(rng.choice([-3, 1, 7]), 2)
+    rational = (value(),) + (Fraction(0),) * (n - 1)
+    return [dense, sparse, (Fraction(0),) * n, tuple(single), rational]
+
+
+class TestSparseProduct:
+    FIELDS = ([cyclotomic_field(m) for m in range(3, 61)]
+              + [NumberField("z", [-2, 0, 1]), NumberField("z", [-1, -1, 0, 1])])
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_mul_coords_against_schoolbook(self, field):
+        rng = random.Random(field.degree * 1009 + len(field.minpoly))
+        ops = seeded_operands(rng, field.degree)
+        for a in ops:
+            for b in ops:
+                assert field.mul_coords(a, b) == schoolbook(field, a, b)
+
+    def test_roots_of_unity_step_by_zeta(self):
+        for m in range(3, 61):
+            field = cyclotomic_field(m)
+            roots, z = roots_of_unity(field, m), field.gen()
+            assert roots[0] == field.one
+            for k in range(m):
+                assert roots[k] * z == roots[(k + 1) % m]
