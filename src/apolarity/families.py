@@ -338,9 +338,9 @@ def _monomial_grid(exps, involved, pivot):
 def _root_points(fld, m: int, nvars: int, involved, points) -> list:
     """Points given by exponents of zeta_m at the involved variables, as
     coordinate tuples over fld with 0 at every other variable."""
-    roots, out = roots_of_unity(fld, m), []
+    roots, zero, out = roots_of_unity(fld, m), fld.zero, []
     for es in points:
-        pt = [fld.zero] * nvars
+        pt = [zero] * nvars
         for i, k in zip(involved, es):
             pt[i] = roots[k]
         out.append(tuple(pt))

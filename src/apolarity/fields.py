@@ -336,15 +336,23 @@ class NumberField:
         return tuple(-x for x in a)
 
     def mul_coords(self, a, b):
+        """a * b over the nonzeros of both; a rational factor only scales."""
         m = self.degree
         if m == 1:
             return (a[0] * b[0],)
+        na = [(i, x) for i, x in enumerate(a) if x]
         nb = [(j, y) for j, y in enumerate(b) if y]
+        if len(nb) == 1 and not nb[0][0]:
+            na, nb = nb, na
+        if len(na) == 1 and not na[0][0]:
+            c, out = na[0][1], list(self.raw_zero)
+            for j, y in nb:
+                out[j] = c * y
+            return tuple(out)
         conv = [Fraction(0)] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in nb:
-                    conv[i + j] += x * y
+        for i, x in na:
+            for j, y in nb:
+                conv[i + j] += x * y
         out = conv[:m]
         for k in range(m, 2 * m - 1):
             c = conv[k]
@@ -393,16 +401,20 @@ def roots_of_unity(field: NumberField, m: int) -> tuple["FieldElement", ...]:
     """zeta_m^0, .., zeta_m^(m-1) in the field, built once per (field, m).
 
     For m <= 2 these are +-1, which every field holds; otherwise the field's
-    generator must be a primitive m-th root of unity.
+    generator z must be a primitive m-th root of unity. Each power is the
+    last one shifted up a coordinate, its top one reduced by z^degree mod p.
     """
     if m <= 2:
         return tuple(field.from_rational((-1) ** k) for k in range(m))
-    if field.is_rationals():
+    if field.degree == 1:
         raise InvalidExtension(f"rationals contain no primitive {m}-th root of unity")
-    z = field.gen()
     table = [field.one]
     for _ in range(m - 1):
-        table.append(table[-1] * z)
+        *low, top = table[-1].coords
+        nxt = [Fraction(0), *low]
+        for j, c in field._zpows[0] if top else ():
+            nxt[j] += top * c
+        table.append(FieldElement(field, tuple(nxt)))
     return tuple(table)
 
 
@@ -466,24 +478,18 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.field, self.field.mul_coords(self.coords, self.field.inv_coords(o.coords))
-        )
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.field, self.field.mul_coords(o.coords, self.field.inv_coords(self.coords))
-        )
+        return o * self.inverse()
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             return NotImplemented
-        result = self.field.one
-        base = self
-        e = exp
+        result, base, e = self.field.one, self, exp
         while e:
             if e & 1:
                 result = result * base

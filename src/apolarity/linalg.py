@@ -73,11 +73,13 @@ def _elements(field: NumberField, rows) -> list[list[FieldElement]]:
     return [[field.from_raw(v) for v in row] for row in rows]
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
+def _exact_quotients(xs: list[int], d: int) -> list[int]:
+    """[x // d for x in xs], checked exact by one sum: floor remainders all
+    have the sign of d, so sum(xs) == d * sum(qs) only if each is 0."""
+    qs = [x // d for x in xs]
+    if sum(xs) != d * sum(qs):
         raise ArithmeticError("fraction-free elimination lost exactness")
-    return q
+    return qs
 
 
 _INT = {int}
@@ -100,10 +102,10 @@ def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
 def _bareiss_step(row: list[int], start: int, pivot_row: list[int],
                   prev: int) -> None:
     """One fraction-free update of row from column start on:
-    row <- (piv * row - row[start] * pivot_row) / prev, every division
-    checked exact. pivot_row is aligned with row[start:] and piv is its
-    first entry. A row with no entry in column start is only rescaled.
-    Dividing by prev = 1 needs no check, and content-1 rows (see
+    row <- (piv * row - row[start] * pivot_row) / prev, checked exact by
+    one sum (_exact_quotients). pivot_row is aligned with row[start:] and
+    piv is its first entry. A row with no entry in column start is only
+    rescaled. Dividing by prev = 1 needs no check, and content-1 rows (see
     _integer_rows) make that the common case."""
     f = row[start]
     piv = pivot_row[0]
@@ -114,10 +116,10 @@ def _bareiss_step(row: list[int], start: int, pivot_row: list[int],
         elif piv != 1:
             row[start:] = [piv * a for a in tail]
     elif f:
-        row[start:] = [_exact_div(piv * a - f * b, prev)
-                       for a, b in zip(tail, pivot_row)]
+        row[start:] = _exact_quotients(
+            [piv * a - f * b for a, b in zip(tail, pivot_row)], prev)
     elif prev != piv:
-        row[start:] = [_exact_div(piv * a, prev) for a in tail]
+        row[start:] = _exact_quotients([piv * a for a in tail], prev)
 
 
 def _echelon_q(rows: list[list]):
@@ -156,7 +158,7 @@ def _reduced_q(rows: list[list], ncols: int
     free[-1 - i]. RREF_k is 1 at p_k and 0 at the other pivot columns.
     d = d_last is the last leading minor, so R_k is integral by Cramer's
     rule; R_last = U_last and R_k = (d U_k - sum_(j>k) U_k[p_j] R_j) / d_k,
-    each division checked exact."""
+    each row's divisions checked exact at once (see _exact_quotients)."""
     echelon = list(_echelon_q(rows))
     pivots = [p for p, _ in echelon]
     pivot_set = set(pivots)
@@ -171,7 +173,7 @@ def _reduced_q(rows: list[list], ncols: int
             if a and r:
                 acc[:len(r)] = [x - a * y for x, y in zip(acc, r)]
         dk = u[0]
-        rs.append(acc if dk == 1 else [_exact_div(x, dk) for x in acc])
+        rs.append(acc if dk == 1 else _exact_quotients(acc, dk))
     rs.reverse()
     return pivots, free, rs, d
 
@@ -483,7 +485,10 @@ def _peel(rows: list[dict], columns: bool) -> tuple[list[int], list[dict]]:
 
     Each pair is a pivot of its own, so the rank is the number of pairs
     plus the rank of the core; a row with one cell forces its coordinate of
-    every kernel vector to 0."""
+    every kernel vector to 0. With no row of two cells (a monomial's
+    catalecticants) the pairs are the distinct columns, in no fixed order."""
+    if max(map(len, rows), default=0) < 2:
+        return list(set().union(*rows)), []
     live = {r: row for r, row in enumerate(rows) if row}
     if all(len(row) > 1 for row in live.values()) and not (
             columns and 1 in Counter(chain(*live.values())).values()):

@@ -129,14 +129,14 @@ class Poly:
         clean: dict[Exps, FieldElement] = {}
         width = len(varset)
         for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != width or any(e < 0 for e in exps):
+            exps = exps if type(exps) is tuple else tuple(exps)
+            if len(exps) != width or min(exps) < 0:
                 raise ValueError(f"bad exponent vector {exps}")
             if not isinstance(coeff, FieldElement):
                 coeff = field.from_rational(coeff)
-            elif coeff.field != field:
+            elif coeff.field is not field and coeff.field != field:
                 raise FieldMismatch("coefficient from a different field")
-            if coeff:
+            if any(coeff.coords):
                 clean[exps] = coeff
         self.terms = clean
 

@@ -15,6 +15,8 @@ from apolarity.poly import monomial_basis
 from apolarity.linalg import (
     Matrix,
     Subspace,
+    _bareiss_step,
+    _exact_quotients,
     _peel,
     kernel,
     matrix_rank,
@@ -537,9 +539,11 @@ def peel_cases(field, rng):
     last row is the one singleton, so each peeled row unlocks the next; a
     staircase whose first column is the one singleton, so each peeled column
     unlocks the next; random cells with zero rows and zero columns; a dense
-    block, with nothing to peel; and all of these as diagonal blocks of one
-    matrix with a few cells coupling them. Over QQ some matrices hold the
-    int 0 for their zeros."""
+    block, with nothing to peel; all of these as diagonal blocks of one
+    matrix with a few cells coupling them; and rows of at most one cell,
+    two of them in one column and one of them empty, the shape of a
+    monomial's catalecticants. Over QQ some matrices hold the int 0 for
+    their zeros."""
     def chain(m):
         cells = {(k, k): nonzero_raw(field, rng) for k in range(m)}
         cells.update({(k, k + 1): nonzero_raw(field, rng)
@@ -561,6 +565,13 @@ def peel_cases(field, rng):
         return ({(r, c): nonzero_raw(field, rng)
                  for r in range(m) for c in range(n)}, m, n)
 
+    def singletons(m, n):
+        c = rng.randrange(n)
+        cells = {(r, c): nonzero_raw(field, rng) for r in (0, 1)}
+        cells.update({(r, rng.randrange(n)): nonzero_raw(field, rng)
+                      for r in range(2, m) if rng.random() < 0.7})
+        return cells, m + 1, n
+
     parts = [("chain", chain(rng.randint(2, 6))),
              ("staircase", staircase(rng.randint(2, 6))),
              ("zero lines", zero_lines(rng.randint(1, 5), rng.randint(1, 5))),
@@ -573,7 +584,9 @@ def peel_cases(field, rng):
         mixed[rng.randrange(nrows), rng.randrange(ncols)] = nonzero_raw(
             field, rng)
     out = []
-    for name, (cells, m, n) in parts + [("mixed", (mixed, nrows, ncols))]:
+    last = [("mixed", (mixed, nrows, ncols)),
+            ("singletons", singletons(rng.randint(2, 7), rng.randint(1, 4)))]
+    for name, (cells, m, n) in parts + last:
         zero = field.raw_zero
         if field.degree == 1 and rng.random() < 0.5:
             zero = 0
@@ -620,6 +633,11 @@ class TestPeeling:
                     assert not peeled[False][1]
                 if name == "staircase":
                     assert not peeled[False][0] and not peeled[True][1]
+                if name == "singletons":
+                    for pairs, core in peeled.values():
+                        assert not core
+                        assert sorted(pairs) == sorted(set(pairs))
+                        assert len(pairs) == matrix_rank(m)
                 seen.update((name, columns, bool(pairs), bool(core))
                             for columns, (pairs, core) in peeled.items())
         # each chain peels fully by rows and each staircase by columns (see
@@ -627,6 +645,35 @@ class TestPeeling:
         assert ("dense", True, False, True) in seen
         assert ("mixed", False, True, True) in seen
         assert ("mixed", True, True, True) in seen
+
+
+class TestExactQuotients:
+    """The one sum check of a row's fraction-free divisions."""
+
+    @pytest.mark.parametrize("d", [1, 2, -2, 7, -7])
+    def test_an_exact_row_divides(self, d):
+        qs = [5, -7, 0, 1, -1]
+        assert _exact_quotients([d * q for q in qs], d) == qs
+
+    # [1, -1] over 2 has truncated quotients [0, 0] and remainders
+    # [1, -1], which sum to 0: only floor remainders, of d's sign, catch it
+    @pytest.mark.parametrize("xs", [[1, -1], [-1, 1], [2, 1, -1], [3], [0, -3, 4]])
+    @pytest.mark.parametrize("d", [2, -2, 4, -4])
+    def test_a_non_exact_row_raises(self, xs, d):
+        with pytest.raises(ArithmeticError):
+            _exact_quotients(list(xs), d)
+
+    @pytest.mark.parametrize("prev", [2, -2])
+    def test_bareiss_step_raises_on_a_non_exact_row(self, prev):
+        # the update piv * row - f * pivot_row is [0, 1, -1]
+        with pytest.raises(ArithmeticError):
+            _bareiss_step([1, 1, 0], 0, [1, 0, 1], prev)
+        # a row with no entry in the pivot column is only rescaled
+        with pytest.raises(ArithmeticError):
+            _bareiss_step([0, 1, -1], 0, [1, 0, 1], prev)
+        row = [1, 3, 0]
+        _bareiss_step(row, 0, [1, 1, 2], prev)
+        assert row == [0, 2 // prev, -2 // prev]
 
 
 class TestIntersection:

@@ -4,7 +4,8 @@ from math import factorial, prod
 
 import pytest
 
-from apolarity.errors import NonHomogeneous, VarSetMismatch, ZeroForm
+from apolarity.errors import (FieldMismatch, NonHomogeneous, VarSetMismatch,
+                              ZeroForm)
 from apolarity.fields import QQ, NumberField, cyclotomic_field, root_of_unity
 from apolarity.poly import (
     Poly,
@@ -124,6 +125,33 @@ class TestBasics:
         assert parse_poly(text + "^6", varnames=V3.names) == f ** 6
         with pytest.raises(ValueError):
             base ** -1
+
+    def test_constructor_checks_and_cleans_its_terms(self):
+        with pytest.raises(ValueError):
+            P(V2, {(2, -1): 1})
+        for exps in [(1, 1, 0), (2,)]:
+            with pytest.raises(ValueError):
+                P(V2, {exps: 1})
+
+        class Pairs(list):
+            """(exponents, coefficient) pairs read as a dict's items."""
+            def items(self):
+                return iter(self)
+
+        f = P(V2, Pairs([([1, 1], 3), (range(2, -1, -2), 1)]))
+        assert list(f.terms) == [(1, 1), (2, 0)]
+        assert all(type(e) is tuple for e in f.terms)
+        z5 = cyclotomic_field(5)
+        with pytest.raises(FieldMismatch):
+            P(V2, {(1, 1): cyclotomic_field(7).gen()}, z5)
+        with pytest.raises(FieldMismatch):
+            P(V2, {(1, 1): z5.gen()})
+        assert P(V2, {(1, 1): 3, (2, 0): 0, (0, 2): Fraction(0)}).terms \
+            == {(1, 1): QQ.from_rational(3)}
+        g = P(V2, {(2, 0): z5.gen(), (1, 1): z5.zero, (0, 2): 0}, z5)
+        assert g.terms == {(2, 0): z5.gen()}
+        assert P(V2, {(2, 0): z5.element([1, -1]) - z5.element([1, -1])},
+                 z5).is_zero()
 
     def test_varset_mismatch(self):
         with pytest.raises(VarSetMismatch):
