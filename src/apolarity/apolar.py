@@ -18,8 +18,9 @@ holds the one value c beta!, and over QQ each form is first scaled to
 integer coefficients; both are row scalings, which move no rank and no
 kernel, so no Fraction and no per-cell product reaches elimination. Rows
 and columns with one nonzero cell are peeled off before elimination
-(linalg._peel), so a monomial's catalecticants are ranked with no
-elimination at all. The assembly has three consumers:
+(linalg._peel), so stacked monomials are ranked with no elimination at
+all, and a single monomial's catalecticants are ranked by counting, with
+no cell assembled (_monomial_ranks). The assembly has three consumers:
 
 - Annihilators and colons. (F_perp : I) is the common annihilator of the
   forms g o F for the generators g of I: in each degree, the kernel of
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import factorial, prod
 from typing import Sequence
 
@@ -510,6 +511,20 @@ def _stacked_rank(field: NumberField, rows: list[dict]) -> int:
                                             dense))
 
 
+def _monomial_ranks(beta: Exps) -> list[int]:
+    """rk Cat_i(x^beta) for i = 0..|beta|: its cells are the distinct
+    columns alpha <= beta with |alpha| = i, one per row, so the rank is
+    their number, the coefficient of z^i in prod_k (1 + z + ... + z^b_k).
+    Each factor makes entry i the window sum counts[i - b .. i], read off
+    running sums, O(|beta|) per variable."""
+    counts = [1]
+    for b in beta:
+        run, top = list(accumulate(counts, initial=0)), len(counts)
+        counts = [run[min(i + 1, top)] - run[max(i - b, 0)]
+                  for i in range(top + b)]
+    return counts
+
+
 def _catalecticant_ranks(field: NumberField, forms: Sequence[tuple],
                          degrees) -> list[int]:
     """rk Cat_i of the forms stacked for each i in degrees, for nonzero
@@ -518,7 +533,12 @@ def _catalecticant_ranks(field: NumberField, forms: Sequence[tuple],
     rk Cat_i = rk Cat_(d-i) (the Gorenstein symmetry of T/F_perp: Cat_(d-i)
     is the transpose of Cat_i up to nonzero row and column scalings), so
     only the degrees max(i, d - i) are eliminated, whose catalecticants have
-    no more rows than columns; stacked forms have no such symmetry."""
+    no more rows than columns; stacked forms have no such symmetry. A
+    single term c x^beta is ranked by counting, with no cell (see
+    _monomial_ranks)."""
+    if len(forms) == 1 and len(forms[0][1]) == 1:
+        counts = _monomial_ranks(forms[0][1][0][0])
+        return [counts[i] if i < len(counts) else 0 for i in degrees]
     if len(forms) == 1:
         d = forms[0][0]
         mirror = {i: max(i, d - i) for i in degrees if i <= d}
@@ -567,9 +587,9 @@ def principal_sum_hf(forms: Sequence[Poly], ts: Sequence[Poly],
             if terms:
                 shifted.append((d - e, terms))
         ranks = _catalecticant_ranks(fld, shifted, range(D - e + 1))
-        out.append(HFProfile(tuple(
+        out.append(HFProfile(tuple([
             v - (ranks[i - e] if i >= e else 0)
-            for i, v in enumerate(base))))
+            for i, v in enumerate(base)])))
     return out
 
 
@@ -598,7 +618,7 @@ def normalize_point(point: Sequence, field: NumberField) -> tuple[FieldElement, 
     if lead is None:
         raise ZeroForm("the zero vector is not a projective point")
     inv = lead.inverse()
-    return tuple(v * inv for v in vals)
+    return tuple([v * inv for v in vals])
 
 
 def _checked_points(points: Sequence[Sequence], n: int,
@@ -611,7 +631,7 @@ def _checked_points(points: Sequence[Sequence], n: int,
             raise AmbientMismatch(
                 "point length does not match the variable count")
         q = normalize_point(p, field)
-        key = tuple(v.coords for v in q)
+        key = tuple([v.coords for v in q])
         if key in seen:
             raise DuplicatePoint("repeated projective point")
         seen.add(key)

@@ -231,8 +231,10 @@ def upper_bound_from_points(f: Poly, points) -> UpperBoundWitness | None:
     raw, one, zero = _raw_points(norm, fld)
     ops = fld.raw_ops()
     cols = [_power_values(p, [d], ops, one, zero, True)[0] for p in raw]
+    # map lets zip reuse its one row tuple (a row held by a loop variable
+    # would cost a fresh tuple each other row)
     mat = Matrix(fld, space_dim(len(f.varset), d), len(norm),
-                 [list(row) for row in zip(*cols)])
+                 list(map(list, zip(*cols))))
     sol = solve(mat, f.lift(fld).to_vector(d))
     if sol is None:
         return None

@@ -464,8 +464,8 @@ def _exponent_witness(f: Poly, involved, m: int, points, weights, signs,
     inv = (scale / fld.element(den) if any(den[1:])
            else scale * Fraction(1, den[0]))
     roots = roots_of_unity(fld, m)
-    coeffs = tuple(roots[w] * inv if s > 0 else -(roots[w] * inv)
-                   for w, s in zip(weights, signs))
+    coeffs = tuple([roots[w] * inv if s > 0 else -(roots[w] * inv)
+                    for w, s in zip(weights, signs)])
     coords = _root_points(fld, m, len(f.varset), involved, points)
     return UpperBoundWitness(tuple(coords), coeffs, len(coords), fld)
 

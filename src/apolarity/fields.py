@@ -36,7 +36,10 @@ def clear_denominators(values: Iterable) -> tuple[int, list[int]]:
     """(den, [den * v for v in values]) as ints, den the lcm of the
     denominators of the rationals (or ints) in values."""
     values = list(values)
-    den = lcm(*(v.denominator for v in values))
+    den = 1
+    for v in values:
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
@@ -67,7 +70,7 @@ def uni_scale(p: UniPoly, c) -> UniPoly:
     c = as_fraction(c)
     if c == 0:
         return ()
-    return tuple(ci * c for ci in p)
+    return tuple([ci * c for ci in p])
 
 
 def uni_mul(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -322,18 +325,21 @@ class NumberField:
                     lambda a: 1 / a, operator.mul)
         return (self.mul_coords, self.add_coords, self.sub_coords,
                 self.is_zero_coords, self.inv_coords,
-                lambda a, s: tuple(x * s for x in a))
+                lambda a, s: tuple([x * s for x in a]))
 
     # -- coordinate arithmetic
+    # Results are built as tuple([...]), not from a generator: CPython
+    # starts a generator's tuple at 10 slots and resizes it, so the free
+    # list of its size is fed but never drawn on until a full collection.
 
     def add_coords(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple([x + y for x, y in zip(a, b)])
 
     def sub_coords(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple([x - y for x, y in zip(a, b)])
 
     def neg_coords(self, a):
-        return tuple(-x for x in a)
+        return tuple([-x for x in a])
 
     def mul_coords(self, a, b):
         """a * b over the nonzeros of both; a rational factor only scales."""

@@ -66,7 +66,7 @@ from typing import Sequence
 from .errors import AmbientMismatch, FieldMismatch
 from .fields import QQ, FieldElement, NumberField, clear_denominators
 from .modular import (UNDECIDED, check_solution, cyclotomic_index,
-                      solve_cyclotomic)
+                      integer_rows, solve_cyclotomic)
 
 
 def _elements(field: NumberField, rows) -> list[list[FieldElement]]:
@@ -633,7 +633,9 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | N
     """One exact solution of M x = rhs (free variables zero), or None.
 
     Over Q = Q(zeta_1) and Q(zeta_m), a system with at least as many
-    rows as columns is tried modulo primes first. Its answer is exact: a
+    rows as columns is tried modulo primes first, on its augmented rows
+    scaled to integers once (modular.integer_rows: over Q one plain integer
+    vector per row, one `% p` per entry). Its answer is exact: a
     solution comes back only when it is unique and passed an exact check
     of M x = rhs, and None only when a full-rank modular image proves the
     system inconsistent. In every other case, and over any other field, the
@@ -645,14 +647,12 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | N
         raise AmbientMismatch("right-hand side length does not match the rows")
     aug = [row + [field.to_raw(v)] for row, v in zip(matrix.rows, rhs)]
     n = matrix.ncols
-    if field.degree == 1:
-        # Q = Q(zeta_1) whatever the linear modulus: each raw rational is
-        # wrapped once as the coordinate tuple of one entry
-        coords, m = [[(v,) for v in row] for row in aug], 1
-    else:
-        coords, m = aug, cyclotomic_index(field.minpoly)
+    # each row scaled to integers once, a plain integer vector over Q: the
+    # modular route and the exact check both read these rows
+    int_rows = integer_rows(aug, field.degree)
+    m = 1 if field.degree == 1 else cyclotomic_index(field.minpoly)
     if m is not None and 0 < n <= len(aug):
-        found = solve_cyclotomic(coords, n, m)
+        found = solve_cyclotomic(int_rows, n, m)
         if found is not UNDECIDED:
             # coordinate tuples, which FieldElement holds over every field
             return None if found is None else [FieldElement(field, v)
@@ -664,6 +664,6 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | N
     for row, p in zip(rows, pivots):
         x[p] = row[n]
     sol = [(v,) for v in x] if field.degree == 1 else x
-    if not check_solution(coords, sol, field.minpoly):
+    if not check_solution(int_rows, sol, field.minpoly):
         raise ArithmeticError("elimination failed the exact check M x = b")
     return [field.from_raw(v) for v in x]

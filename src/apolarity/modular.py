@@ -1,24 +1,28 @@
 """Multi-modular solve of a linear system over a cyclotomic field Q(zeta_m).
 
-The rationals are Q(zeta_1): Phi_1 = z - 1, and a rational is a
-coordinate tuple of one entry. For a prime p = 1 (mod m) the cyclotomic
-polynomial Phi_m has phi(m) distinct roots r_k in F_p, so reduction
-modulo p sends Z[zeta_m] onto phi(m) copies of F_p, one for each
-substitution zeta_m -> r_k (for m = 1, every prime and the one root 1).
-A system over Q(zeta_m) thus becomes phi(m) scalar systems over F_p on
-plain ints. Their solutions are interpolated back to power-basis
-coordinates mod p, combined over several primes by the Chinese remainder
-theorem, and lifted to rationals by rational reconstruction (Wang 1981:
-numerator and denominator bounded by sqrt(M / 2) for a modulus M).
+The rationals are Q(zeta_1): Phi_1 = z - 1. Each augmented row [M | b] is
+scaled to integers once, by the lcm of its denominators, and held as
+phi(m) integer vectors, the j-th one the coefficients of z^j of every
+entry (integer_rows); a rational row is one plain integer vector. For a
+prime p = 1 (mod m) the cyclotomic polynomial Phi_m has phi(m) distinct
+roots r_k in F_p, so reduction modulo p sends Z[zeta_m] onto phi(m)
+copies of F_p, one for each substitution zeta_m -> r_k (for m = 1, every
+prime and the one root 1, where an entry's image is one `% p`). A system
+over Q(zeta_m) thus becomes phi(m) scalar systems over F_p on plain ints.
+Their solutions are interpolated back to power-basis coordinates mod p,
+combined over several primes by the Chinese remainder theorem, and lifted
+to rationals by rational reconstruction (Wang 1981: numerator and
+denominator bounded by sqrt(M / 2) for a modulus M).
 
 Only a system whose scalar images all have full column rank yields a
 candidate. Its solution over Q(zeta_m) is then unique, so it equals the
 one exact elimination finds; the candidate is returned only after an
-exact integer check M x = b. A scalar image that is inconsistent at full
-column rank proves the system inconsistent: a nonzero maximal minor of
-[M | b] modulo a prime is nonzero over the field. Everything else
-(rank deficiency, no verified reconstruction within MAX_PRIMES primes)
-is reported as UNDECIDED for the caller's exact elimination.
+exact integer check M x = b on the same integer rows. A scalar image that
+is inconsistent at full column rank proves the system inconsistent: a
+nonzero maximal minor of [M | b] modulo a prime is nonzero over the
+field. Everything else (rank deficiency, no verified reconstruction
+within MAX_PRIMES primes) is reported as UNDECIDED for the caller's exact
+elimination.
 
 The same integer check, as check_solution, is the self-check that
 linalg.solve runs on the solutions of exact elimination, over any monic
@@ -30,6 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 
 from .fields import clear_denominators, cyclotomic
 
@@ -201,64 +206,72 @@ def _reconstruct(u: int, modulus: int, bound: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _scaled(entries) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(den, entries times den): coordinate tuples of one length scaled by
-    the lcm den of their denominators, each as sparse (power, integer
-    coefficient) pairs."""
-    m = len(entries[0]) if entries else 0
-    den, ints = clear_denominators(c for entry in entries for c in entry)
-    return den, [[(j, c) for j, c in enumerate(ints[k:k + m]) if c]
-                 for k in range(0, len(ints), m)]
+def integer_rows(rows, degree: int) -> list[list[list[int]]]:
+    """Augmented rows [M | b] of raw scalars over a field of the given
+    degree (rationals for degree 1, coordinate tuples of that length
+    otherwise), each scaled to integers by the lcm of its denominators and
+    held as degree integer vectors, the j-th one the coefficients of z^j."""
+    if degree == 1:
+        return [[clear_denominators(row)[1]] for row in rows]
+    out = []
+    for row in rows:
+        ints = clear_denominators(c for entry in row for c in entry)[1]
+        out.append([ints[j::degree] for j in range(degree)])
+    return out
 
 
-def _integer_rows(rows) -> list[list[list[tuple[int, int]]]]:
-    """Each row scaled by the lcm of its denominators (see _scaled)."""
-    return [_scaled(row)[1] for row in rows]
+def _verify(int_rows, sol, phi: list) -> bool:
+    """Exact check M x = b on integer rows, x over one denominator.
 
-
-def _verify(int_rows, sol: list[list[Fraction]], phi: list) -> bool:
-    """Exact check M x = b in integer coordinates, x over one denominator.
-
-    phi is the monic modulus, little-endian; its coefficients may be
-    rationals, which only costs Fraction arithmetic in the reduction.
+    sol holds one coordinate sequence per column; phi is the monic
+    modulus, little-endian, whose coefficients may be rationals, which
+    only costs Fraction arithmetic in the reduction.
     """
     n = len(phi) - 1
-    den, xs = _scaled(sol)
+    den, flat = clear_denominators(c for x in sol for c in x)
+    # the solution as integer vectors by power of z, its zero ones left out
+    xs = [(t, x) for t, x in enumerate(flat[t::n] for t in range(n))
+          if any(x)]
     for row in int_rows:
         acc = [0] * (2 * n - 1)
-        for entry, x in zip(row, xs):
-            for j, c in entry:
-                for t, v in x:
-                    acc[j + t] += c * v
+        for j, vec in enumerate(row):
+            for t, x in xs:
+                # x is one entry shorter than vec: b is left out
+                acc[j + t] += sum(map(mul, vec, x))
         for k in range(2 * n - 2, n - 1, -1):
             c = acc[k]
             if c:
                 for t in range(n):
                     acc[k - n + t] -= c * phi[t]
-        want = [0] * n
-        for j, c in row[-1]:
-            want[j] = c * den
-        if acc[:n] != want:
+        if acc[:n] != [vec[-1] * den for vec in row]:
             return False
     return True
 
 
-def check_solution(rows, sol, minpoly) -> bool:
-    """The exact check M x = b for augmented rows [M | b] of coordinate
-    tuples over Q[z]/(minpoly) and a solution of coordinate tuples."""
+def check_solution(int_rows, sol, minpoly) -> bool:
+    """The exact check M x = b for augmented rows [M | b] given by
+    integer_rows over Q[z]/(minpoly), and a solution of coordinate
+    sequences."""
     phi = [c.numerator if c.denominator == 1 else c for c in minpoly]
-    return _verify(_integer_rows(rows), sol, phi)
+    return _verify(int_rows, sol, phi)
 
 
-def solve_cyclotomic(rows, ncols: int, m: int):
+def _image(row: list[list[int]], rp: list[int], p: int) -> list[int]:
+    """An integer row at z = r mod p, for rp the powers r^j mod p."""
+    acc = row[0]
+    for vec, r in zip(row[1:], rp[1:]):
+        acc = [u + r * v for u, v in zip(acc, vec)]
+    return [u % p for u in acc]
+
+
+def solve_cyclotomic(int_rows, ncols: int, m: int):
     """Solve an augmented system over Q(zeta_m) modulo primes p = 1 (mod m),
     m = 1 for Q.
 
-    rows are the augmented rows [M | b] of coordinate tuples in the power
-    basis of Q[z]/(Phi_m). Returns the solution as coordinate tuples, None
-    when the system is inconsistent, or UNDECIDED.
+    int_rows are the augmented rows [M | b] as integer_rows gives them, in
+    the power basis of Q[z]/(Phi_m). Returns the solution as coordinate
+    tuples, None when the system is inconsistent, or UNDECIDED.
     """
-    int_rows = _integer_rows(rows)
     phi = [int(c) for c in cyclotomic(m)]
     n = len(phi) - 1
     modulus = 1
@@ -267,9 +280,7 @@ def solve_cyclotomic(rows, ncols: int, m: int):
         p, pows, vinv = _prime_data(m, i)
         images = []
         for rp in pows:
-            a = [[sum(c * rp[j] for j, c in entry) % p for entry in row]
-                 for row in int_rows]
-            x = _solve_mod(a, ncols, p)
+            x = _solve_mod([_image(row, rp, p) for row in int_rows], ncols, p)
             if x is _DEFICIENT:
                 return UNDECIDED
             if x is _INCONSISTENT:
@@ -279,8 +290,8 @@ def solve_cyclotomic(rows, ncols: int, m: int):
         lift = pow(modulus, -1, p)
         for col, res in enumerate(residues):
             vals = [img[col] for img in images]
-            for j in range(n):
-                cj = sum(v * w for v, w in zip(vinv[j], vals)) % p
+            for j, w in enumerate(vinv):
+                cj = sum(map(mul, w, vals)) % p
                 res[j] += modulus * ((cj - res[j]) * lift % p)
         modulus *= p
         bound = isqrt(modulus // 2)

@@ -248,7 +248,7 @@ class Poly:
         terms: dict[Exps, FieldElement] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
+                exps = tuple([x + y for x, y in zip(ea, eb)])
                 c = ca * cb
                 acc = terms.get(exps)
                 terms[exps] = c if acc is None else acc + c
@@ -407,7 +407,7 @@ def apolar_action(g: Poly, f: Poly) -> Poly:
     terms = _contract_raw([(a, c.coords) for a, c in g.terms.items()],
                           [(b, c.coords) for b, c in f.terms.items()],
                           field.mul_coords, field.add_coords,
-                          lambda c, s: tuple(x * s for x in c))
+                          lambda c, s: tuple([x * s for x in c]))
     return Poly(f.varset, {exps: FieldElement(field, c)
                            for exps, c in terms.items()}, field)
 
@@ -427,7 +427,7 @@ def _contract_raw(g_terms, f_terms, mul, add, times) -> dict:
                 if ai:
                     scale *= perm(bi, ai)
             else:
-                exps = tuple(bi - ai for ai, bi in zip(a, b))
+                exps = tuple([bi - ai for ai, bi in zip(a, b)])
                 c = mul(ca, cb)
                 if scale != 1:
                     c = times(c, scale)

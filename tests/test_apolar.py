@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -9,6 +10,7 @@ from apolarity.apolar import (
     _catalecticant_cells,
     add_principal,
     catalecticant,
+    catalecticant_rank,
     colon_by_form,
     colon_by_ideal,
     hf,
@@ -17,6 +19,7 @@ from apolarity.apolar import (
     koszul_ci_hf,
     minimal_generators,
     perp,
+    perp_hf,
     points_ideal,
 )
 from apolarity.errors import (
@@ -182,6 +185,21 @@ def test_catalecticant_rank_equals_hf():
             live = [r for r in rows if any(r)]
             rank = len(naive_rref(live)[0]) if live else 0
             assert profile.values[i] == rank
+
+
+def test_single_term_ranks_are_counted():
+    # rk Cat_i(c x^beta) is #{alpha <= beta : |alpha| = i}, counted with no
+    # cell; the rank of the dense matrix is an independent derivation
+    for beta in itertools.product(range(5), repeat=3):
+        d = sum(beta)
+        f = Poly(V3, {beta: Fraction(-3, 7)})
+        dense = [matrix_rank(catalecticant(f, i)) for i in range(d + 1)]
+        count = [sum(1 for alpha in monomial_basis(3, i)
+                     if all(a <= b for a, b in zip(alpha, beta)))
+                 for i in range(d + 1)]
+        assert dense == count
+        assert [catalecticant_rank(f, i) for i in range(d + 1)] == dense
+        assert perp_hf(f).values == tuple(dense) + (0,)
 
 
 def test_perp_of_triple_product_is_square_ideal():

@@ -294,9 +294,11 @@ class TestGridCheckTampered:
 
 
 def wrapped(field, rows, rhs, x):
-    """[M | b] and x as the coordinate tuples check_solution reads."""
-    return ([[v.coords for v in row] + [b.coords]
-             for row, b in zip(rows, rhs)], [v.coords for v in x])
+    """[M | b] as the integer rows check_solution reads, x as coordinate
+    tuples."""
+    raw = [[field.to_raw(v) for v in row] + [field.to_raw(b)]
+           for row, b in zip(rows, rhs)]
+    return (modular.integer_rows(raw, field.degree), [v.coords for v in x])
 
 
 def system(field, entries, x0):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from apolarity.fields import (
     QQ,
     FieldElement,
     NumberField,
+    clear_denominators,
     cyclotomic,
     cyclotomic_field,
     field_invert,
@@ -34,6 +36,25 @@ def test_rational_backend_is_reduced_with_positive_denominator():
     q = Fraction(6, -4)
     assert q.numerator == -3 and q.denominator == 2
     assert Fraction(2, 4) + Fraction(1, 4) == Fraction(3, 4)
+
+
+def test_clear_denominators():
+    assert clear_denominators([]) == (1, [])
+    assert clear_denominators(iter([])) == (1, [])
+    assert clear_denominators([3, -4, 0]) == (1, [3, -4, 0])
+    assert clear_denominators([Fraction(6, 3), Fraction(-5)]) == (1, [2, -5])
+    vals = [Fraction(-1, 6), 5, Fraction(3, 4), Fraction(0),
+            Fraction(-7, 10), Fraction(1, 4)]
+    den, ints = clear_denominators(v for v in vals)
+    assert (den, ints) == (60, [-10, 300, 45, 0, -42, 15])
+    assert all(type(v) is int for v in ints)
+    rng = random.Random(5)
+    for _ in range(50):
+        vals = [Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+                for _ in range(rng.randint(1, 12))]
+        den, ints = clear_denominators(vals)
+        assert den == math.lcm(*(v.denominator for v in vals))
+        assert ints == [v * den for v in vals]
 
 
 class TestUnivariate:

@@ -16,6 +16,7 @@ from apolarity.linalg import (
     Matrix,
     Subspace,
     _bareiss_step,
+    _batch_rref,
     _exact_quotients,
     _peel,
     kernel,
@@ -867,8 +868,10 @@ def mat_vec(field, rows, x):
 def modular_answer(field, rows, rhs):
     """What the modular route alone returns for the system."""
     m = 1 if field.degree == 1 else modular.cyclotomic_index(field.minpoly)
-    raw = [[e.coords for e in row] + [b.coords] for row, b in zip(rows, rhs)]
-    return modular.solve_cyclotomic(raw, len(rows[0]), m)
+    raw = [[field.to_raw(e) for e in row] + [field.to_raw(b)]
+           for row, b in zip(rows, rhs)]
+    return modular.solve_cyclotomic(modular.integer_rows(raw, field.degree),
+                                    len(rows[0]), m)
 
 
 class TestModularSolve:
@@ -985,8 +988,9 @@ class TestModularSolve:
                 for _ in range(3)]
         x0 = [rand_element(field, rng, 5, (1, 2)) for _ in range(2)]
         rhs = mat_vec(field, rows, x0)
-        int_rows = modular._integer_rows(
-            [[e.coords for e in row] + [b.coords] for row, b in zip(rows, rhs)])
+        int_rows = modular.integer_rows(
+            [[e.coords for e in row] + [b.coords] for row, b in zip(rows, rhs)],
+            field.degree)
         phi = [int(c) for c in field.minpoly]
         assert modular._verify(int_rows, [v.coords for v in x0], phi)
         wrong = [v.coords for v in x0]
@@ -1009,3 +1013,104 @@ class TestModularSolve:
         rows = [[z - 1, field.one], [field.one, z]]
         with pytest.raises(NotInvertible):
             solve(Matrix.from_rows(rows, field=field), [field.one, z])
+
+
+def eliminated(rows, rhs):
+    """solve over QQ by exact elimination alone: _batch_rref of [M | b],
+    its solution certified by check_solution, or None."""
+    n = len(rows[0])
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    red, pivots = _batch_rref(aug, QQ)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row, p in zip(red, pivots):
+        x[p] = row[n]
+    assert modular.check_solution(modular.integer_rows(aug, 1),
+                                  [(v,) for v in x], QQ.minpoly)
+    return x
+
+
+class TestIntegerRoute:
+    """solve over QQ, whose rows reach the modular solver as plain integer
+    vectors, against exact elimination of [M | b]."""
+
+    DENS = (1, 2, 3, 5, 7, 12)
+
+    def draw(self, rng, nrows, ncols):
+        return [[Fraction(rng.randint(-9, 9), rng.choice(self.DENS))
+                 for _ in range(ncols)] for _ in range(nrows)]
+
+    def answers(self, rows, rhs):
+        """(modular answer, solve's answer, elimination's answer)."""
+        aug = [row + [b] for row, b in zip(rows, rhs)]
+        int_rows = modular.integer_rows(aug, 1)
+        # one plain integer vector per row, b scaled with its row
+        assert all(len(r) == 1 and all(type(v) is int for v in r[0])
+                   for r in int_rows)
+        got = solve(q_matrix(rows), [QQ.from_rational(b) for b in rhs])
+        got = None if got is None else [v.as_fraction() for v in got]
+        return (modular.solve_cyclotomic(int_rows, len(rows[0]), 1), got,
+                eliminated(rows, rhs))
+
+    def shapes(self):
+        # square, one more row than columns, overdetermined
+        return [(n, n) for n in (1, 2, 4, 6)] + \
+            [(n + 1, n) for n in (1, 3, 5)] + [(9, 3), (12, 5)]
+
+    def test_consistent_systems_match_elimination(self):
+        rng = random.Random(61)
+        for nrows, ncols in self.shapes():
+            for zero_row in (False, True):
+                rows = self.draw(rng, nrows, ncols)
+                if zero_row:
+                    rows.append([Fraction(0)] * ncols)
+                x0 = [Fraction(rng.randint(-20, 20), rng.choice(self.DENS))
+                      for _ in range(ncols)]
+                rhs = [sum(a * v for a, v in zip(row, x0)) for row in rows]
+                found, got, want = self.answers(rows, rhs)
+                assert found is not modular.UNDECIDED
+                assert [v for v, in found] == got == want == x0
+
+    def test_inconsistent_systems_are_none(self):
+        rng = random.Random(67)
+        for nrows, ncols in self.shapes():
+            if nrows == ncols:
+                continue
+            rows = self.draw(rng, nrows, ncols)
+            rows.append([Fraction(0)] * ncols)
+            # the zero row asks for 0 = 1/7
+            rhs = [Fraction(rng.randint(-9, 9), rng.choice(self.DENS))
+                   for _ in rows[:-1]] + [Fraction(1, 7)]
+            found, got, want = self.answers(rows, rhs)
+            assert found is None and got is None and want is None
+            # a row repeated with another right-hand side, the rest agreeing
+            rows = self.draw(rng, nrows, ncols)
+            x0 = [Fraction(rng.randint(-9, 9), 5) for _ in range(ncols)]
+            rhs = [sum(a * v for a, v in zip(row, x0)) for row in rows]
+            rows.append(rows[0])
+            rhs.append(rhs[0] + Fraction(1, 3))
+            found, got, want = self.answers(rows, rhs)
+            assert found is None and got is None and want is None
+
+    def test_rank_deficient_systems_fall_back(self):
+        rng = random.Random(71)
+        for nrows, ncols in self.shapes():
+            if ncols < 2:
+                continue
+            rows = self.draw(rng, nrows, ncols - 1)
+            # the last column is the first minus 2/3 of the second
+            rows = [row + [row[0] - Fraction(2, 3) * row[-1]] for row in rows]
+            x0 = [Fraction(rng.randint(-9, 9), rng.choice(self.DENS))
+                  for _ in range(ncols)]
+            rhs = [sum(a * v for a, v in zip(row, x0)) for row in rows]
+            found, got, want = self.answers(rows, rhs)
+            assert found is modular.UNDECIDED
+            assert got == want is not None
+            assert [sum(a * v for a, v in zip(row, got))
+                    for row in rows] == rhs
+            # rank-deficient and inconsistent: elimination says None
+            rhs[-1] += 1
+            found, got, want = self.answers(rows, rhs)
+            assert found is modular.UNDECIDED
+            assert got is None and want is None
