@@ -36,8 +36,9 @@ no cell assembled (_monomial_ranks). The assembly has three consumers:
 
 add_principal adds (t) to a sliced ideal by one batch elimination per
 degree. Point evaluations come from poly._power_values, the routine
-behind Poly.__pow__ of a linear form, over QQ on an integer multiple of
-each point.
+behind Poly.__pow__ of a linear form, over QQ on each point's primitive
+integer vector (_checked_points), and a point ideal's kernels are taken
+from the top degree down to its first zero slice.
 
 Groebner machinery is deliberately absent; degreewise exact linear algebra
 decides everything needed.
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 from typing import Sequence
 
 from .errors import (
@@ -61,7 +62,8 @@ from .errors import (
     NonHomogeneous,
     ZeroForm,
 )
-from .fields import QQ, FieldElement, NumberField, clear_denominators
+from .fields import (QQ, FieldElement, NumberField, as_fraction,
+                     clear_denominators)
 from .linalg import Matrix, Subspace, _kernel, _peel, kernel, matrix_rank
 from .poly import (Exps, Poly, VarSet, _basis, _contract_raw, _power_values,
                    apolar_action, space_dim)
@@ -621,50 +623,65 @@ def normalize_point(point: Sequence, field: NumberField) -> tuple[FieldElement, 
     return tuple([v * inv for v in vals])
 
 
+def _rational(v):
+    """A point coordinate over a degree-1 field as an int or a Fraction."""
+    if isinstance(v, FieldElement):
+        if v.field.degree != 1:
+            raise FieldMismatch("point coordinate from an extension field")
+        return v.coords[0]
+    return v if isinstance(v, (int, Fraction)) else as_fraction(v)
+
+
 def _checked_points(points: Sequence[Sequence], n: int,
-                    field: NumberField) -> list[tuple[FieldElement, ...]]:
-    """The points normalized, each checked to have n coordinates and to
-    differ from the earlier ones as a projective point."""
-    norm, seen = [], set()
+                    field: NumberField) -> tuple[list[tuple], object, object]:
+    """The points as raw coordinate rows for _power_values, with the one and
+    zero of those rows, each point checked to have n coordinates, to be
+    nonzero and to differ from the earlier ones as a projective point.
+
+    Over a degree-1 field a point is its primitive integer vector with a
+    positive lead, from one clear_denominators and one gcd: den * q for q
+    the point scaled to lead 1 and den the lcm of q's denominators.
+    Otherwise it is the coordinates of the point scaled to lead 1."""
+    rational = field.degree == 1
+    rows, seen = [], set()
     for p in points:
         if len(p) != n:
             raise AmbientMismatch(
                 "point length does not match the variable count")
-        q = normalize_point(p, field)
-        key = tuple([v.coords for v in q])
+        if rational:
+            ints = clear_denominators([_rational(v) for v in p])[1]
+            lead = next((v for v in ints if v), 0)
+            if not lead:
+                raise ZeroForm("the zero vector is not a projective point")
+            g = gcd(*ints) if lead > 0 else -gcd(*ints)
+            key = tuple([v // g for v in ints])
+        else:
+            key = tuple([v.coords for v in normalize_point(p, field)])
         if key in seen:
             raise DuplicatePoint("repeated projective point")
         seen.add(key)
-        norm.append(q)
-    return norm
-
-
-def _raw_points(norm, field: NumberField) -> tuple[list, object, object]:
-    """Normalized points as raw coordinate rows for _power_values, with the
-    one and zero of those rows. Over a degree-1 field each point q becomes
-    den * q as ints, den the lcm of its denominators; q leads with 1, so
-    den * q leads with den."""
-    if field.degree != 1:
-        rows = [[v.coords for v in q] for q in norm]
-        return rows, field.raw_one, field.raw_zero
-    return [clear_denominators(v.coords[0] for v in q)[1] for q in norm], 1, 0
+        rows.append(key)
+    return (rows, 1, 0) if rational else (rows, field.raw_one, field.raw_zero)
 
 
 def points_ideal(points: Sequence[Sequence], varset: VarSet, D: int,
                  field: NumberField = QQ) -> GradedIdeal:
-    """The ideal of a finite reduced point set, sliced by evaluation kernels."""
+    """The ideal of a finite reduced point set, sliced by evaluation kernels
+    from degree D down. Below the first zero slice every slice is zero: for
+    g != 0 in I_j, x_0 * g != 0 lies in I_(j+1)."""
     n = len(varset)
-    norm = _checked_points(points, n, field)
     # an integer multiple of a point scales each evaluation row and keeps
     # every kernel; row i of a point is its monomials of degree i evaluated
-    raw_points, one, zero = _raw_points(norm, field)
+    rows, one, zero = _checked_points(points, n, field)
     ops = field.raw_ops()
     per_point = [_power_values(p, range(D + 1), ops, one, zero, False)
-                 for p in raw_points]
-    slices = []
-    for i in range(D + 1):
-        rows = [values[i] for values in per_point]
-        slices.append(kernel(Matrix(field, len(rows), space_dim(n, i), rows)))
+                 for p in rows]
+    slices = [Subspace.zero(space_dim(n, i), field) for i in range(D + 1)]
+    for i in range(D, -1, -1):
+        evals = [values[i] for values in per_point]
+        slices[i] = kernel(Matrix(field, len(evals), space_dim(n, i), evals))
+        if not slices[i].dim:
+            break
     return GradedIdeal(varset, field, D, slices)
 
 

@@ -29,7 +29,7 @@ from .apolar import (
     points_ideal,
     principal_sum_hf,
 )
-from .apolar import _checked_points, _gens_degree, _poly_raw_vector, _raw_points
+from .apolar import _checked_points, _gens_degree, _poly_raw_vector
 from .errors import (
     DegreeMismatch,
     EOutOfRange,
@@ -227,22 +227,24 @@ def upper_bound_from_points(f: Poly, points) -> UpperBoundWitness | None:
         raise ZeroForm("no decomposition for the zero form")
     d = f.degree()
     fld = _unify_field(f, points)
-    norm = _checked_points(points, len(f.varset), fld)
-    raw, one, zero = _raw_points(norm, fld)
+    raw, one, zero = _checked_points(points, len(f.varset), fld)
     ops = fld.raw_ops()
     cols = [_power_values(p, [d], ops, one, zero, True)[0] for p in raw]
     # map lets zip reuse its one row tuple (a row held by a loop variable
     # would cost a fresh tuple each other row)
-    mat = Matrix(fld, space_dim(len(f.varset), d), len(norm),
+    mat = Matrix(fld, space_dim(len(f.varset), d), len(raw),
                  list(map(list, zip(*cols))))
     sol = solve(mat, f.lift(fld).to_vector(d))
     if sol is None:
         return None
     if fld.degree == 1:
-        # column j is (den_j q_j)^d, and den_j q_j leads with den_j, so the
-        # coefficient of q_j^d is the solved one times den_j^d
-        sol = [c * next(v for v in p if v) ** d for c, p in zip(sol, raw)]
-    return UpperBoundWitness(tuple(norm), tuple(sol), len(norm), fld)
+        # column j is p_j^d for the integer point p_j with lead a_j, so the
+        # coefficient of (p_j / a_j)^d is the solved one times a_j^d
+        leads = [next(v for v in p if v) for p in raw]
+        sol = [c * a ** d for c, a in zip(sol, leads)]
+        raw = [[Fraction(v, a) for v in p] for p, a in zip(raw, leads)]
+    norm = tuple([tuple([fld.from_raw(v) for v in p]) for p in raw])
+    return UpperBoundWitness(norm, tuple(sol), len(norm), fld)
 
 
 def certify(f: Poly, gens, t: Poly | None = None, points=None,

@@ -34,7 +34,10 @@ Subspace keeps a superset of the columns its rows use, so an insertion
 whose new pivot column no row holds skips the back-substitution scan.
 An intersection A cap B_1 cap ... cap B_m costs sparse reductions of A's
 rows modulo each B_j and one kernel of at most sum codim B_j rows and dim A
-columns: no doubled ambient, no dense row and no second elimination.
+columns: no doubled ambient, no dense row and no second elimination. Over
+QQ the reductions and the recombination of the kernel vectors run on
+integers, with one common denominator for A's rows and one for the rows of
+each B_j they reach; a Fraction is made only for an entry of the result.
 
 solve is the one place that may take a modular route, over Q = Q(zeta_1)
 (every degree-1 field) and Q(zeta_m), a field whose modulus is the
@@ -594,12 +597,40 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return out
 
 
+def _scaled_rows(rows: list[dict]) -> tuple[int, list[dict]]:
+    """(den, the rows times den as {column: int} dicts), den the lcm of the
+    denominators of the rational entries of all the rows."""
+    den, flat = clear_denominators([v for row in rows for v in row.values()])
+    it = iter(flat)
+    return den, [dict(zip(row, it)) for row in rows]
+
+
+def _residuals_q(rows: list[dict], other: Subspace, ops) -> list[dict]:
+    """Integer rows modulo a rational subspace as _reduce leaves them, all
+    times one positive integer: only the basis rows whose pivots the rows
+    reach are read, scaled to integers by one common denominator."""
+    pivots = other._rows
+    reached = list({p for row in rows for p in row if p in pivots})
+    den, scaled = _scaled_rows([pivots[p] for p in reached])
+    scaled = dict(zip(reached, scaled))
+    out = []
+    for row in rows:
+        out.append({c: den * v for c, v in row.items() if c not in pivots})
+        for p, f in row.items():
+            if p in scaled:
+                _sub_multiple(out[-1], f, scaled[p], p, ops, 0)
+    return out
+
+
 def subspace_intersect(a: Subspace, b: Subspace, *more: Subspace) -> Subspace:
     """A cap B_1 cap ... cap B_m, read off the canonical basis of A, the
     smallest operand that is not full. sum lambda_i a_i lies in every B_j
     exactly when its residuals modulo the B_j, linear in lambda, vanish;
     the canonical kernel of the residuals maps to the canonical basis, as
-    the combination takes the value lambda_i at a_i's pivot."""
+    the combination takes the value lambda_i at a_i's pivot. Over QQ the
+    residuals and the recombination run on integers, each operand scaled by
+    one common denominator (see _residuals_q), and a Fraction is made only
+    for an entry of an output row."""
     spaces = [a, b, *more]
     for other in spaces[1:]:
         a._check(other)
@@ -607,13 +638,18 @@ def subspace_intersect(a: Subspace, b: Subspace, *more: Subspace) -> Subspace:
     if not parts:
         return Subspace.full(a.ambient, a.field)
     base, field = parts[0], a.field
+    rational = field.degree == 1
     ops = field.raw_ops()
-    zero = field.raw_zero
+    zero = 0 if rational else field.raw_zero
     basis = base.sparse_rows()
+    if rational:
+        den, basis = _scaled_rows(basis)
     residuals: dict[tuple[int, int], list] = {}
     for j, other in enumerate(parts[1:]):
-        for i, row in enumerate(basis):
-            for c, v in other._reduce(dict(row), ops).items():
+        reduced = (_residuals_q(basis, other, ops) if rational else
+                   [other._reduce(dict(row), ops) for row in basis])
+        for i, res in enumerate(reduced):
+            for c, v in res.items():
                 residuals.setdefault((j, c), [zero] * len(basis))[i] = v
     if not residuals:
         return base.copy()
@@ -621,9 +657,13 @@ def subspace_intersect(a: Subspace, b: Subspace, *more: Subspace) -> Subspace:
                         list(residuals.values())))
     rows = []
     for coeffs in lam.sparse_rows():
+        if rational:
+            scale, (coeffs,) = _scaled_rows([coeffs])
         x: dict = {}
         for i, f in coeffs.items():
             _sub_multiple(x, field.neg_raw(f), basis[i], None, ops, zero)
+        if rational:
+            x = {c: Fraction(v, scale * den) for c, v in x.items()}
         rows.append(x)
     return Subspace(field, base.ambient, rows,
                     [base.pivots[q] for q in lam.pivots])

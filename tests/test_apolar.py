@@ -532,10 +532,71 @@ def test_points_ideal_profiles_and_errors():
     assert I.verify_closure()
     with pytest.raises(DuplicatePoint):
         points_ideal([(1, 0, 0), (2, 0, 0)], V3, 2)
+    with pytest.raises(DuplicatePoint):
+        points_ideal([(QQ.from_rational(2), 4, 6), (1, 2, 3)], V3, 2)
     with pytest.raises(ZeroForm):
         points_ideal([(0, 0, 0)], V3, 2)
     with pytest.raises(AmbientMismatch):
         points_ideal([(1, 0)], V3, 2)
+
+
+_LENGTH = (AmbientMismatch, "point length does not match the variable count")
+_ZERO = (ZeroForm, "the zero vector is not a projective point")
+_REPEAT = (DuplicatePoint, "repeated projective point")
+
+
+@pytest.mark.parametrize("pts,error", [
+    ([(1, 2, 3), (1, 2)], _LENGTH),
+    ([(0, 0, 0)], _ZERO),
+    ([(1, 2, 3), (-2, -4, -6)], _REPEAT),
+    ([(Fraction(1, 2), -1, 0), (-3, 6, 0)], _REPEAT),
+    # the first failing point decides; within a point the length is
+    # checked first, then every coordinate's type, then the zero vector
+    ([(0, 0, 0), (1, 2)], _ZERO),
+    ([(1, 2), (0, 0, 0)], _LENGTH),
+    ([(0, 0)], _LENGTH),
+    ([(1, 0, 0), (2, 0, 0), (0, 0, 0)], _REPEAT),
+    ([(1, 0, 0), (0, 0, 0), (2, 0, 0)], _ZERO),
+    ([(1, 0, 0), (2, 0, 0), (1, 2)], _REPEAT),
+    ([(1, 2, 3), (1, "a")], _LENGTH),
+    ([(1, 0.5, 0)], (TypeError, "cannot coerce 0.5 to a rational")),
+    ([(0, 0.0, 0)], (TypeError, "cannot coerce 0.0 to a rational")),
+])
+def test_point_check_errors_and_their_order(pts, error):
+    # points_ideal over Q and Q(zeta_5) and upper_bound_from_points share
+    # one point check: the same class and message, in the same order
+    from apolarity.bounds import upper_bound_from_points
+    cls, message = error
+    calls = [lambda: points_ideal(pts, V3, 2),
+             lambda: points_ideal(pts, V3, 2, cyclotomic_field(5)),
+             lambda: upper_bound_from_points(mono(V3, (2, 1, 0)), pts)]
+    for call in calls:
+        with pytest.raises(cls) as info:
+            call()
+        assert type(info.value) is cls and str(info.value) == message
+
+
+def test_extension_coordinates_need_the_extension_field():
+    # over a degree-1 field a coordinate from an extension is refused, not
+    # cut to its rational part: the ideal of (1 : z) and (1 : 1) is not the
+    # ideal of (1 : 0) and (1 : 1), x*y - y^2
+    K = cyclotomic_field(3)
+    z = K.gen()
+    vs = VarSet(("x", "y"))
+    pts = [(K.one, z), (K.one, K.one)]
+    for call in (points_ideal, hf_points):
+        with pytest.raises(FieldMismatch) as info:
+            call(pts, vs, 2)
+        assert str(info.value) == "point coordinate from an extension field"
+        # the CLI's one error line names the class by its origin
+        assert f"{info.value.origin}.{type(info.value).__name__}" \
+            == "poly.FieldMismatch"
+    with pytest.raises(FieldMismatch):
+        points_ideal([(1, 0), (z, 1)], vs, 2)
+    got = points_ideal(pts, vs, 2, K).slice_polys(2)
+    assert [str(g) for g in got] == ["x^2 + (z)*x*y + (-z - 1)*y^2"]
+    assert points_ideal([(1, 0), (1, 1)], vs, 2).slice_polys(2) == [
+        Poly.monomial(vs, (1, 1)) - Poly.monomial(vs, (0, 2))]
 
 
 def _evaluation_kernels(points, vs, D, field):
@@ -588,6 +649,39 @@ def test_points_ideal_slices_equal_evaluation_kernels(field):
         assert ideal.slices == _evaluation_kernels(pts, vs, 4, field)
         checked += 1
     assert checked >= 4
+    # the slices are taken from degree 4 down and stop at the first zero
+    # one; these sets reach each shape of that walk
+    for pts, zero_slices in _special_point_sets(field):
+        ideal = points_ideal(pts, vs, 4, field)
+        assert ideal.slices == _evaluation_kernels(pts, vs, 4, field)
+        assert [i for i in range(5) if not ideal.dim(i)] == zero_slices
+
+
+def _special_point_sets(field):
+    """(points in P^2, the degrees of the zero slices of their ideal) for
+    sets the top-down slices must get right: 4, 6, 10 and 15 general
+    points (r >= space_dim(3, i) for i up to 1, 2, 3 and 4), collinear
+    points (a nonzero degree-1 slice), the three coordinate points with
+    two more (singleton evaluation rows), negative leads with mixed
+    denominators, and the same coordinates as rational FieldElements of
+    the field with plain values mixed in."""
+    F = Fraction
+    rng = random.Random(27)
+    general = [(F(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-9, 9),
+                F(rng.randint(1, 9), rng.randint(-9, -1)))
+               for _ in range(15)]
+    collinear = [(a, b, a + b) for a, b in
+                 ((1, 0), (F(-1, 2), 3), (2, F(5, 7)), (0, -1), (-3, -4))]
+    axes = [(F(-2, 3), 0, 0), (0, 5, 0), (0, 0, F(1, 7)), (3, 0, -1),
+            (1, 1, 1)]
+    mixed = [(F(-2, 3), F(1, 5), F(7, 2)), (F(-1, 4), 3, F(-5, 6)),
+             (0, F(-3, 7), F(2, 9)), (F(-9, 8), F(-5, 12), 1)]
+    lifted = [(field.from_rational(a), b, field.from_rational(c))
+              for a, b, c in mixed]
+    return [(general[:4], [0, 1]), (general[:6], [0, 1, 2]),
+            (general[:10], [0, 1, 2, 3]), (general, [0, 1, 2, 3, 4]),
+            (collinear, [0]), (axes, [0, 1]), (mixed, [0, 1]),
+            (lifted, [0, 1])]
 
 
 def test_points_ideal_extension_field():

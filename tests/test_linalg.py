@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from collections import Counter
 from functools import reduce
 from math import prod
 
@@ -523,6 +524,14 @@ def operand(field, rng, n, earlier, core):
     return Subspace.from_raw_vectors(vecs, n, field)
 
 
+def lift(s, field):
+    """A rational subspace read over field, its rows lifted entrywise."""
+    rows = None if s.is_full() else [
+        {j: field.raw_rational(v) for j, v in row.items()}
+        for row in s.sparse_rows()]
+    return Subspace(field, s.ambient, rows, list(s.pivots))
+
+
 def snapshot(spaces):
     return [(s.rows, list(s.pivots)) for s in spaces]
 
@@ -714,6 +723,54 @@ class TestIntersection:
             before = snapshot(spaces)
             assert subspace_intersect(*spaces) == reduce(zassenhaus, spaces)
             assert snapshot(spaces) == before
+
+    def test_integer_route_matches_the_lifted_route(self):
+        # over QQ the residuals and the recombination run on integers;
+        # Q(zeta_3) keeps the route of Subspace._reduce on raw scalars, so
+        # the lifted operands' meet is the lifted meet
+        K = cyclotomic_field(3)
+        rng = random.Random(2701)
+        dens = (1, 2, 3, 5, 7, 11, 12)
+
+        def mixed_rows(n, count):
+            return [[Fraction(rng.randint(-9, 9), rng.choice(dens))
+                     if rng.random() < 0.6 else 0 for _ in range(n)]
+                    for _ in range(count)]
+
+        def mixed(n, count):
+            return Subspace.from_raw_vectors(mixed_rows(n, count), n, QQ)
+
+        def check(*spaces):
+            got = subspace_intersect(*spaces)
+            assert lift(got, K) == subspace_intersect(
+                *[lift(s, K) for s in spaces])
+            return got
+
+        seen = Counter()
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            core = mixed_rows(n, rng.randint(1, n - 1))
+            spaces = []
+            for _ in range(rng.randint(2, 3)):
+                spaces.append(operand(QQ, rng, n, spaces, core))
+            got = check(*spaces)
+            seen[len(spaces)] += 1
+            seen["zero meet"] += not got.dim
+            seen["full or zero operand"] += any(
+                s.is_full() or not s.dim for s in spaces)
+        for n in (3, 6, 9):
+            a = mixed(n, n // 3)
+            b = subspace_sum(a, mixed(n, n // 3))
+            # containment, in both orders and beside a third operand
+            assert check(a, b) == a and check(b, a) == a
+            assert check(b, a, Subspace.full(n, QQ)) == a
+            # a trivial meet of general subspaces of complementary sizes
+            c, d = mixed(n, n // 2), mixed(n, n - n // 2)
+            assert check(c, d).dim == 0
+            assert check(c, Subspace.zero(n, QQ), d).dim == 0
+            assert check(Subspace.full(n, QQ), c) == c
+        assert seen[2] and seen[3]
+        assert seen["zero meet"] and seen["full or zero operand"]
 
     def test_result_shares_no_row_with_an_operand(self):
         a = Subspace.from_raw_vectors([[1, 2, 0], [0, 0, 1]], 3, QQ)
