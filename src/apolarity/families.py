@@ -2,10 +2,10 @@
 
 Every family result recomputes its lower bound through the quotient engine
 rather than trusting the closed formula; upper bounds are point
-decompositions in closed form, checked exactly without a linear solve (a
-monomial's on its grid of residues by _grid_check, with no visit of the
-other monomials; the XaSumB and Vandermonde ones by the signed counts of
-_cyclotomic_witness), or self-contained cited statements.
+decompositions in closed form, checked exactly with no linear solve and no
+visit of the other monomials (a monomial's and each XaSumB term's on its
+grid of residues by _grid_check, V_n's by _permutation_check), or
+self-contained cited statements.
 
 analyze() classifies a form and runs the engine that ENGINES maps its tag
 to. The FamilyAnalysis it returns is all that `apolarity rank` prints and
@@ -42,11 +42,10 @@ from .errors import (
     ParameterOutOfRange,
     ZeroForm,
 )
-from .fields import (QQ, clear_denominators, cyclotomic, cyclotomic_field,
-                     roots_of_unity, squarefree_check, squarefree_decomposition,
-                     uni_degree, uni_derivative, uni_divmod, uni_eval, uni_gcd,
-                     uni_trim)
-from .poly import Poly, VarSet, _basis, _multinomial, apolar_action
+from .fields import (QQ, clear_denominators, cyclotomic_field, roots_of_unity,
+                     squarefree_check, squarefree_decomposition, uni_degree,
+                     uni_derivative, uni_divmod, uni_eval, uni_gcd, uni_trim)
+from .poly import Poly, VarSet, _multinomial, apolar_action
 
 MONOMIAL_CITATION = (
     "rk(x0^a0*...*xn^an) = prod_{i>=1}(a_i+1) when 0 < a0 <= a_i for all i; "
@@ -404,50 +403,36 @@ def _grid_check(exps, involved, pivot, m: int, points, weights) -> int:
     return _multinomial(d, [exps[i] for i in involved]) * size
 
 
-def _cyclotomic_witness(f: Poly, involved, target: dict, m: int, points,
-                        weights, signs) -> UpperBoundWitness | None:
-    """F's part c*target as sum_k c_k L_k^d for XaSumB and Vandermonde.
+def _permutation_check(target, n: int, points, weights, signs):
+    """(lead, den) for V_n's witness, or ArithmeticError raised: lead =
+    max(target) and den, the coefficient of x^lead in sum_k s_k zeta^(w_k)
+    L_k^d, is multinomial(d; lead) prod_(i<j)(zeta^(lead_j) - zeta^(lead_i))/n.
 
-    target maps exponents on the involved variables to +-1. L_k is zeta_m^e
-    on them, e = points[k], and 0 elsewhere. The one lambda in Q(zeta_m)
-    with sum_k s_k zeta^(w_k) L_k^d = lambda*target (signs s_k = +-1)
-    is read off without expanding, or ArithmeticError raised: the
-    coefficient of x^b on the left is multinomial(d; b) times
-    sum_k s_k zeta^(w_k + b.e_k), a signed count per exponent class mod m
-    reduced by the nonzero coefficients of Phi_m, for every degree-d b.
+    The points must be e = (0, s(1), ..., s(n-1)), once for each permutation
+    s of 1..n-1, with w_k = 0 and s_k = sgn s. Following s by the n-cycle
+    k -> k+1 mod n adds d = n(n-1)/2 to b.e and multiplies the sign by
+    (-1)^(n-1) = zeta^d, so the n cosets of these s in S_n give equal sums,
+    and x^b has the coefficient multinomial(d; b) det[zeta^(b_i*j)]/n =
+    multinomial(d; b) prod_(i<j)(zeta^(b_j) - zeta^(b_i))/n. It vanishes
+    unless the b_i are distinct mod n; n distinct residues summing to d are
+    0..n-1 themselves, so b is a permutation, the product is sgn(b) times
+    that of b = (0, ..., n-1) and multinomial(d; b) is the same for all b:
+    the sum is one lambda times V_n, whose coefficient at x^b is +-sgn(b).
     """
-    d = sum(next(iter(target)))
-    phi = cyclotomic(m)
-    n, low = len(phi) - 1, [(t, int(c)) for t, c in enumerate(phi[:-1]) if c]
-    cols = list(zip(*points))
-    lam = lead = None
-    for b in _basis(len(involved), d):
-        acc = weights
-        for bi, col in zip(b, cols):
-            if bi:
-                acc = [x + bi * y for x, y in zip(acc, col)]
-        counts = [0] * m
-        for x, s in zip(acc, signs):
-            counts[x % m] += s
-        for k in range(m - 1, n - 1, -1):
-            c = counts[k]
-            if c:
-                for t, p in low:
-                    counts[k - n + t] -= c * p
-        sign = target.get(b)
-        if sign is None:
-            if any(counts[:n]):
-                raise ArithmeticError("decomposition failed re-verification")
-            continue
-        value = [sign * _multinomial(d, b) * x for x in counts[:n]]
-        if lam is None:
-            lam, lead = value, b
-        elif value != lam:
+    seen = set()
+    for e, w, s in zip(points, weights, signs):
+        seen.add(e)
+        if (e[0] or w or sorted(e) != list(range(n)) or s != (-1) ** sum(
+                x > y for x, y in itertools.combinations(e, 2))):
             raise ArithmeticError("decomposition failed re-verification")
-    if not any(lam):
+    if not len(seen) == len(points) == math.factorial(n - 1):
         raise ArithmeticError("decomposition failed re-verification")
-    return _exponent_witness(f, involved, m, points, weights, signs, lead,
-                             [target[lead] * x for x in lam])
+    lead = max(target)
+    roots = roots_of_unity(cyclotomic_field(n), n)
+    den = roots[0]
+    for i, j in itertools.combinations(range(n), 2):
+        den = den * (roots[lead[j]] - roots[lead[i]])
+    return lead, (den * Fraction(_multinomial(sum(lead), lead), n)).coords
 
 
 def _exponent_witness(f: Poly, involved, m: int, points, weights, signs,
@@ -618,14 +603,17 @@ def _xa_sum_b(form: Poly, a: int, b: int, n: int, plus_power: bool,
         if plus_power:
             cites = cites + (PLUS_POWER_CITATION,)
         if b <= a and not plus_power:
-            # each term x_p^a*x_i^b on its own line: coordinate 1 at the
-            # pivot, zeta^(-k) at x_i and weight zeta^(kb), k < a+1
-            m = a + 1
-            line = [(0, -k % m) for k in range(m)]
-            weights = [k * b % m for k in range(m)]
-            parts = [_cyclotomic_witness(form, (pivot, i), {(a, b): 1}, m,
-                                         line, weights, [1] * m)
-                     for i in others]
+            # each term x_p^a*x_i^b is a monomial with least exponent at
+            # x_i; listing x_p first keeps coordinate 1 at the pivot
+            parts = []
+            for i in others:
+                exps = [0] * len(varset)
+                exps[pivot], exps[i] = a, b
+                m, points, weights = _closed_form(exps, (pivot, i), i)
+                lam = _grid_check(exps, (pivot, i), i, m, points, weights)
+                parts.append(_exponent_witness(form, (pivot, i), m, points,
+                                               weights, [1] * m, (a, b),
+                                               [lam]))
             points = tuple(p for w in parts for p in w.points)
             upper = UpperBoundWitness(
                 points, tuple(c for w in parts for c in w.coefficients),
@@ -778,7 +766,9 @@ def vandermonde(n: int, solve_points: bool | None = None) -> VandermondeResult:
     that the colon by X1 reproduces (n-1)!. The permutation points carry
     the closed-form decomposition for n <= 4 by default, so that the
     output of n = 5 and 6 stays as it was, and for every n with
-    solve_points=True; otherwise it is carried as a cited statement.
+    solve_points=True; otherwise it is carried as a cited statement. The
+    decomposition is checked by _permutation_check, in O(n^2) field
+    products once the (n-1)! points are listed.
     """
     if not 3 <= n <= 6:
         raise NOutOfRange("Vandermonde engine covers 3 <= n <= 6")
@@ -796,14 +786,14 @@ def vandermonde(n: int, solve_points: bool | None = None) -> VandermondeResult:
     if not solve_points:
         return VandermondeResult(n, v, rank, witness, None, "cited-upper",
                                  VANDERMONDE_CITATION)
-    # points (1, zeta^s(1), ..., zeta^s(n-1)) weighted by sgn s; V_n is +-1
-    perms = list(itertools.permutations(range(1, n)))
-    signs = [(-1) ** sum(x > y for x, y in itertools.combinations(s, 2))
-             for s in perms]
-    target = {e: int(c.as_fraction()) for e, c in v.terms.items()}
-    upper = _cyclotomic_witness(v, range(n), target, n,
-                                [(0,) + s for s in perms], [0] * len(perms),
-                                signs)
+    # points (1, zeta^s(1), ..., zeta^s(n-1)) weighted by sgn s
+    points = [(0,) + s for s in itertools.permutations(range(1, n))]
+    signs = [(-1) ** sum(x > y for x, y in itertools.combinations(e, 2))
+             for e in points]
+    weights = [0] * len(points)
+    lead, den = _permutation_check(v.terms, n, points, weights, signs)
+    upper = _exponent_witness(v, range(n), n, points, weights, signs, lead,
+                              den)
     return VandermondeResult(n, v, rank, witness, upper, "certified-equal",
                              VANDERMONDE_CITATION)
 

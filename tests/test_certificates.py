@@ -1,11 +1,13 @@
 """The two exact certificates behind every upper bound.
 
 A family's decomposition (monomial, XaSumB with b <= a, Vandermonde) comes
-in closed form and is checked on exponents of roots of unity, a monomial's
-on its grid of residues and the others by integer counts, which serve as
-the monomial check's oracle; the decompositions of user points come from linalg.solve, which returns only
-solutions that pass the integer check M x = b. Each is tested against an
-independent derivation and against a deliberate fault.
+in closed form and is checked on exponents of roots of unity: a monomial's
+and each XaSumB term's on its grid of residues, the Vandermonde one as a set
+of signed permutations. The signed counting loop that once checked the
+XaSumB and Vandermonde witnesses lives here as the oracle of both checks.
+The decompositions of user points come from linalg.solve, which returns
+only solutions that pass the integer check M x = b. Each is tested against
+an independent derivation and against a deliberate fault.
 """
 
 import io
@@ -20,9 +22,9 @@ from apolarity import families, linalg, modular
 from apolarity.bounds import upper_bound_from_points
 from apolarity.cli import run
 from apolarity.families import monomial_certificate, monomial_points
-from apolarity.fields import QQ, NumberField, cyclotomic_field
+from apolarity.fields import QQ, NumberField, cyclotomic, cyclotomic_field
 from apolarity.linalg import Matrix, solve
-from apolarity.poly import Poly, VarSet
+from apolarity.poly import Poly, VarSet, _basis, _multinomial
 
 V4 = VarSet(("x0", "x1", "x2", "x3"))
 
@@ -138,26 +140,25 @@ REVERIFICATION = ("error: internal.ArithmeticError: "
 
 class TestClosedFormCheck:
     def test_flipped_vandermonde_sign_raises(self, monkeypatch):
-        real = families._cyclotomic_witness
+        real = families._permutation_check
 
-        def tampered(f, involved, target, m, points, weights, signs):
-            return real(f, involved, target, m, points, weights,
-                        [-signs[0]] + signs[1:])
+        def tampered(target, m, points, weights, signs):
+            return real(target, m, points, weights, [-signs[0]] + signs[1:])
 
-        monkeypatch.setattr(families, "_cyclotomic_witness", tampered)
+        monkeypatch.setattr(families, "_permutation_check", tampered)
         with pytest.raises(ArithmeticError,
                            match="decomposition failed re-verification"):
             families.vandermonde(4, solve_points=True)
         assert cli(["rank", "(a-b)*(a-c)*(b-c)"]) == (4, "", REVERIFICATION)
 
     def test_shifted_xa_sum_b_weight_raises(self, monkeypatch):
-        real = families._cyclotomic_witness
+        real = families._closed_form
 
-        def tampered(f, involved, target, m, points, weights, signs):
-            return real(f, involved, target, m, points,
-                        [(weights[0] + 1) % m] + weights[1:], signs)
+        def tampered(*args):
+            m, points, weights = real(*args)
+            return m, points, [(weights[0] + 1) % m] + weights[1:]
 
-        monkeypatch.setattr(families, "_cyclotomic_witness", tampered)
+        monkeypatch.setattr(families, "_closed_form", tampered)
         with pytest.raises(ArithmeticError,
                            match="decomposition failed re-verification"):
             families.xa_sum_b_rank(3, 2, 2)
@@ -199,12 +200,59 @@ class TestClosedFormCheck:
         assert cert.upper is None and cert.rank == 3
 
 
+def signed_count_witness(f, involved, target, m, points, weights, signs):
+    """F's part c*target as sum_k c_k L_k^d, checked by signed counts: the
+    oracle of the grid and permutation checks.
+
+    target maps exponents on the involved variables to +-1. L_k is zeta_m^e
+    on them, e = points[k], and 0 elsewhere. The coefficient of x^b in
+    sum_k s_k zeta^(w_k) L_k^d is multinomial(d; b) times
+    sum_k s_k zeta^(w_k + b.e_k), a signed count per exponent class mod m
+    reduced by the nonzero coefficients of Phi_m. Every degree-d b is
+    visited, and the counts must be one lambda times target, or
+    ArithmeticError is raised.
+    """
+    d = sum(next(iter(target)))
+    phi = cyclotomic(m)
+    deg, low = len(phi) - 1, [(t, int(c)) for t, c in enumerate(phi[:-1])
+                              if c]
+    cols = list(zip(*points))
+    lam = lead = None
+    for b in _basis(len(involved), d):
+        acc = weights
+        for bi, col in zip(b, cols):
+            if bi:
+                acc = [x + bi * y for x, y in zip(acc, col)]
+        counts = [0] * m
+        for x, s in zip(acc, signs):
+            counts[x % m] += s
+        for k in range(m - 1, deg - 1, -1):
+            c = counts[k]
+            if c:
+                for t, p in low:
+                    counts[k - deg + t] -= c * p
+        sign = target.get(b)
+        if sign is None:
+            if any(counts[:deg]):
+                raise ArithmeticError("decomposition failed re-verification")
+            continue
+        value = [sign * _multinomial(d, b) * x for x in counts[:deg]]
+        if lam is None:
+            lam, lead = value, b
+        elif value != lam:
+            raise ArithmeticError("decomposition failed re-verification")
+    if not any(lam):
+        raise ArithmeticError("decomposition failed re-verification")
+    return families._exponent_witness(f, involved, m, points, weights, signs,
+                                      lead, [target[lead] * x for x in lam])
+
+
 def counted_witness(f, closed_form=families._closed_form):
-    """The signed counting loop of the XaSumB and Vandermonde witnesses,
-    run on the monomial's closed-form data: the oracle of its grid check."""
+    """The signed counting loop run on a monomial's closed-form data: the
+    oracle of its grid check."""
     exps, involved, pivot = families._monomial_data(f)
     m, points, weights = closed_form(exps, involved, pivot)
-    return families._cyclotomic_witness(
+    return signed_count_witness(
         f, involved, {tuple(exps[i] for i in involved): 1}, m, points,
         weights, [1] * len(points))
 
@@ -291,6 +339,103 @@ class TestGridCheckTampered:
                            match="decomposition failed re-verification"):
             monomial_certificate(f)
         assert cli(["rank", "x*y^2*z^3"]) == (4, "", REVERIFICATION)
+
+
+def counted_xa_sum_b(f, a, b, pivot):
+    """The oracle's XaSumB witness: each term x_p^a*x_i^b on its own line,
+    coordinate 1 at the pivot, zeta^(-k) at x_i and weight zeta^(kb),
+    k < a+1, written out by hand."""
+    m = a + 1
+    line = [(0, -k % m) for k in range(m)]
+    weights = [k * b % m for k in range(m)]
+    parts = [signed_count_witness(f, (pivot, i), {(a, b): 1}, m, line,
+                                  weights, [1] * m)
+             for i in range(len(f.varset)) if i != pivot]
+    return (tuple(p for w in parts for p in w.points),
+            tuple(c for w in parts for c in w.coefficients),
+            m * len(parts), parts[0].field)
+
+
+def vandermonde_data(n):
+    """V_n, its coefficients +-1 by exponent, and its permutation points
+    (0, s(1), ..., s(n-1)) with weight exponents 0 and signs sgn s."""
+    v = families.build_vandermonde(n)
+    target = {e: int(c.as_fraction()) for e, c in v.terms.items()}
+    points = [(0,) + s for s in itertools.permutations(range(1, n))]
+    signs = [(-1) ** sum(x > y for x, y in itertools.combinations(e, 2))
+             for e in points]
+    return v, target, points, [0] * len(points), signs
+
+
+class TestFamilyChecksAgainstCounting:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_xa_sum_b(self, n):
+        # every 2 <= b <= a <= 6, with the pivot first and not first
+        for a in range(2, 7):
+            for b in range(2, a + 1):
+                for pivot in (0, 1 + n // 2):
+                    f = xa_sum_b_form(a, b, n, pivot)
+                    res = families.analyze(f).result
+                    assert res.status == "certified-equal"
+                    assert witness_data(res.upper) == \
+                        counted_xa_sum_b(f, a, b, pivot)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_vandermonde(self, n):
+        v, target, *data = vandermonde_data(n)
+        counted = witness_data(signed_count_witness(v, range(n), target, n,
+                                                    *data))
+        lead, den = families._permutation_check(v.terms, n, *data)
+        assert witness_data(families._exponent_witness(
+            v, range(n), n, *data, lead, den)) == counted
+        if n <= 5:
+            # V_6's colon bound alone takes seconds; its witness bytes are
+            # pinned by the CI step on `vandermonde 6 --solve --json`
+            res = families.vandermonde(n, solve_points=True)
+            assert witness_data(res.upper) == counted
+
+
+def duplicated_permutation(points, weights, signs):
+    # each point still valid on its own; one permutation goes missing
+    return (points[:-1] + points[:1], weights[:-1] + weights[:1],
+            signs[:-1] + signs[:1])
+
+
+def missing_permutation(points, weights, signs):
+    return points[:-1], weights[:-1], signs[:-1]
+
+
+def zero_moved(points, weights, signs):
+    # s(0) != 0: the first two exponents swapped, the sign flipped to match
+    e = points[0]
+    return ([(e[1], e[0]) + e[2:]] + points[1:], weights,
+            [-signs[0]] + signs[1:])
+
+
+def nonzero_weight(points, weights, signs):
+    return points, [1] + weights[1:], signs
+
+
+class TestPermutationCheckTampered:
+    @pytest.mark.parametrize("tamper", [duplicated_permutation,
+                                        missing_permutation, zero_moved,
+                                        nonzero_weight])
+    def test_tampered_permutations_raise(self, monkeypatch, tamper):
+        real = families._permutation_check
+
+        def tampered(target, m, points, weights, signs):
+            return real(target, m, *tamper(points, weights, signs))
+
+        # the counting oracle refuses the same data
+        v, target, *data = vandermonde_data(4)
+        with pytest.raises(ArithmeticError,
+                           match="decomposition failed re-verification"):
+            signed_count_witness(v, range(4), target, 4, *tamper(*data))
+        monkeypatch.setattr(families, "_permutation_check", tampered)
+        with pytest.raises(ArithmeticError,
+                           match="decomposition failed re-verification"):
+            families.vandermonde(4, solve_points=True)
+        assert cli(["rank", "(a-b)*(a-c)*(b-c)"]) == (4, "", REVERIFICATION)
 
 
 def wrapped(field, rows, rhs, x):
